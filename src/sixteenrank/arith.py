@@ -48,6 +48,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _v2(n: int) -> int:
+    # 2-adic valuation of a nonzero integer
+    return (n & -n).bit_length() - 1
+
+
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> tuple[int, ...]:
     """All primes <= limit, as a cached immutable tuple."""

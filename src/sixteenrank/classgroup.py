@@ -2,9 +2,12 @@
 
 Two independent routes to h(-4p) for primes p = 1 mod 4:
 
-  * class_number_enum counts reduced positive definite forms
-    (A, B, C) of discriminant -4p directly, factoring (B^2 + 4p)/4
-    by trial division against a cached prime table;
+  * class_number_enum counts the reduced positive definite forms
+    (A, B, C) of discriminant -4p grouped by the leading coefficient A.
+    For A < sqrt(p) there are rho(A) of them, rho(A) being the number
+    of roots of x^2 = -p (mod A): a multiplicative function read off
+    the Legendre symbols (-p | q) of the odd primes q.  For
+    sqrt(p) < A <= sqrt(4p/3) the forms are found by scanning B;
   * class_number_dirichlet evaluates the finite character-sum form of
     the analytic class number formula, h = |sum a * chi(a)| / (4p).
 
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    _v2,
     decompose_two_squares,
     is_prime,
     one_plus_i_is_square,
@@ -32,6 +36,8 @@ from .errors import Refusal
 
 _ENUM_LIMIT = 2 * 10**9
 _DIRICHLET_LIMIT = 10**6
+# entries per block of the arrays class_number_enum works on
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -94,48 +100,88 @@ class ClassData:
 def class_number_enum(p: int) -> ClassData:
     """h(-4p) as the count of reduced forms of discriminant -4p.
 
-    A reduced form has B = 2b with 0 <= 2b <= A <= C and AC = p + b^2;
-    each divisor A of p + b^2 in [max(1, 2b), sqrt(p + b^2)] yields one
-    form when b = 0, A = 2b or A = C, and a (+-B)-pair otherwise.
+    A reduced form is (A, 2b, C) with |2b| <= A <= C, AC = p + b^2, and
+    b >= 0 when 2|b| = A or A = C; so A <= sqrt(4p/3).  The forms are
+    counted grouped by the leading coefficient A (Cohen, GTM 138, 5.3):
+
+      * A^2 < p: then C > A, and the forms with leading coefficient A
+        match one-to-one the roots x mod A of x^2 = -p (mod A), taking
+        b as the root's representative in (-A/2, A/2].  So this part is
+        the sum of rho(A) over A < sqrt(p), where rho is multiplicative
+        with rho(2) = 1, rho(2^k) = 0 for k >= 2 (as -p = 3 mod 4), and
+        rho(q^k) = 1 + (-p | q) for odd primes q, none of which divides p.
+      * sqrt(p) < A <= sqrt(4p/3): here b runs over
+        [ceil(sqrt(A^2 - p)), A/2] with A | p + b^2, and each such b
+        gives the two forms (A, +-2b, C).  They never coincide: 2b = A
+        would need b | p, so A = 2, and A = C would need
+        p = (A - b)(A + b), so A = (p + 1)/2 > sqrt(4p/3).  Only A with
+        rho(A) > 0 can divide some p + b^2.
     """
     if not is_prime(p) or p % 4 != 1:
         raise Refusal(f"need a prime = 1 mod 4, got {p}")
     if p > _ENUM_LIMIT:
         raise Refusal(f"enumeration budget is p <= {_ENUM_LIMIT}, got {p}")
-    bmax = math.isqrt(p // 3)
-    table = primes_up_to(math.isqrt(p + bmax * bmax) + 1)
-    h = 0
-    for b in range(bmax + 1):
-        n = p + b * b
-        # factor n over the table
-        fac = []
-        m = n
-        for q in table:
-            if q * q > m:
-                break
-            if m % q == 0:
-                e = 0
-                while m % q == 0:
-                    m //= q
-                    e += 1
-                fac.append((q, e))
-        if m > 1:
-            fac.append((m, 1))
-        lo = 2 * b
-        root = math.isqrt(n)
-        divs = [1]
-        for q, e in fac:
-            qe = [q**k for k in range(e + 1)]
-            divs = [d * f for d in divs for f in qe]
-        for a in divs:
-            if a < max(1, lo) or a > root:
-                continue
-            h += 1 if (b == 0 or a == lo or a * a == n) else 2
+    root = math.isqrt(p)  # A <= root iff A^2 < p, as p is not a square
+    top = math.isqrt(4 * p // 3)
+    rho = _root_counts(p, top)
+    h = int(rho[: root + 1].sum(dtype=np.int64))
+    a = np.flatnonzero(rho[root + 1 :]) + (root + 1)
+    lo = _ceil_sqrt(a * a - p)
+    count = a // 2 - lo + 1  # >= 0, since 4(A^2 - p) <= A^2
+    for i, b in _runs(lo, np.ones_like(lo), count):
+        h += 2 * int(np.count_nonzero((p + b * b) % a[i] == 0))
     return ClassData(p=p, h=h, v2=_v2(h))
 
 
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
+def _root_counts(p: int, n: int) -> np.ndarray:
+    """rho[A] = #{x mod A : x^2 = -p (mod A)} for 1 <= A <= n < p; rho[0] = 0.
+
+    rho(A) is 0 when 4 | A or an odd prime q | A has (-p | q) = -1, and
+    otherwise 2 to the number of odd primes dividing A.
+    """
+    # a power-of-two limit, so that primes_up_to's cache serves many p
+    q = np.array(primes_up_to(1 << n.bit_length()), dtype=np.int64)
+    q = q[(q > 2) & (q <= n)]
+    split = _is_square_mod(-p % q, q)
+    # n <= sqrt(4 _ENUM_LIMIT / 3) < 3*5*7*11*13*17, so rho <= 2^5 fits int8
+    rho = np.ones(n + 1, dtype=np.int8)
+    rho[0] = 0
+    rho[4::4] = 0
+    for i, mult in _runs(q, q, n // q):
+        s = split[i]
+        np.multiply.at(rho, mult[s], np.int8(2))  # an int8 factor keeps the fast path
+        rho[mult[~s]] = 0
+    return rho
+
+
+def _is_square_mod(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euler's criterion a^((q-1)/2) = 1 (mod q) for odd primes q < 2^31."""
+    e = q >> 1
+    r = np.ones_like(q)
+    for k in range(int(e.max(initial=0)).bit_length()):
+        r = np.where((e >> k) & 1, r * a % q, r)
+        a = a * a % q
+    return r == 1
+
+
+def _runs(start: np.ndarray, step: np.ndarray, count: np.ndarray):
+    """The progressions start[i] + k step[i], 0 <= k < count[i], in order,
+    as pairs (i, value) of arrays of at most _BLOCK entries each, so that
+    memory stays bounded however long the runs are."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for e0 in range(0, total, _BLOCK):
+        e = np.arange(e0, min(e0 + _BLOCK, total))
+        i = np.searchsorted(ends, e, side="right")
+        yield i, start[i] + step[i] * (e - ends[i] + count[i])
+
+
+def _ceil_sqrt(m: np.ndarray) -> np.ndarray:
+    # exact ceil(sqrt(m)) for 1 <= m < 2^52: the float root, corrected
+    s = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    s -= s * s > m
+    s += (s + 1) * (s + 1) <= m
+    return s + (s * s < m)
 
 
 def class_number_dirichlet(p: int) -> int:

@@ -11,7 +11,8 @@ Three subcommands:
            check and the congruence prediction from p = a^2 + c^4
 
 Exit status: 0 on success, 3 when a request is refused (precondition or
-budget), 2 on argparse usage errors, 1 on internal failure.  Identical
+budget), 2 on argparse usage errors, 1 on internal failure or an --out
+file that cannot be written.  Identical
 invocations produce byte-identical output.
 """
 
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -130,6 +132,9 @@ def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
         raise Refusal(
             f"verify budget is limit <= {VERIFY_BUDGET}; rerun with a smaller --limit"
         )
+    cores = os.cpu_count() or 1
+    if threads > cores:
+        raise Refusal(f"--threads is capped at the {cores} CPUs of this machine, got {threads}")
     witnesses = form_witnesses(limit)
     if threads > 1 and len(witnesses) > 1:
         size = max(1, len(witnesses) // (4 * threads))
@@ -386,8 +391,12 @@ def main(argv=None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

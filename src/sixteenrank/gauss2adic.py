@@ -34,7 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import PrimeWitness
+from .arith import PrimeWitness, _v2
 from .errors import Refusal
 
 # Working precision with two guard digits beyond the M^7 congruences
@@ -71,11 +71,6 @@ class GaussInt:
 
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
-
-
-def _v2(n: int) -> int:
-    # 2-adic valuation of a nonzero integer
-    return (n & -n).bit_length() - 1
 
 
 def exact_m_valuation(z: GaussInt) -> int | float:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixteenrank import (
     QForm,
@@ -11,6 +13,7 @@ from sixteenrank import (
     class_number_enum,
     compose,
     divisibility_chain,
+    is_prime,
     primes_up_to,
     principal_form,
     two_torsion_form,
@@ -33,6 +36,71 @@ def brute_reduced_forms(p):
                 continue
             out.append(QForm(a, b, c))
     return out
+
+
+def divisor_class_number(p):
+    """h(-4p) by the per-b divisor enumeration, the slow oracle.
+
+    A reduced form has B = 2b with 0 <= 2b <= A <= C and AC = p + b^2;
+    each divisor A of p + b^2 in [max(1, 2b), sqrt(p + b^2)], found by
+    trial division, yields one form when b = 0, A = 2b or A = C, and a
+    (+-B)-pair otherwise.
+    """
+    bmax = math.isqrt(p // 3)
+    table = primes_up_to(math.isqrt(p + bmax * bmax) + 1)
+    h = 0
+    for b in range(bmax + 1):
+        n = p + b * b
+        fac = []
+        m = n
+        for q in table:
+            if q * q > m:
+                break
+            if m % q == 0:
+                e = 0
+                while m % q == 0:
+                    m //= q
+                    e += 1
+                fac.append((q, e))
+        if m > 1:
+            fac.append((m, 1))
+        lo = 2 * b
+        root = math.isqrt(n)
+        divs = [1]
+        for q, e in fac:
+            qe = [q**k for k in range(e + 1)]
+            divs = [d * f for d in divs for f in qe]
+        for a in divs:
+            if a < max(1, lo) or a > root:
+                continue
+            h += 1 if (b == 0 or a == lo or a * a == n) else 2
+    return h
+
+
+def next_prime_1_mod_4(n):
+    n += (1 - n) % 4
+    while not is_prime(n):
+        n += 4
+    return n
+
+
+def test_class_number_matches_divisor_enumeration():
+    for p in primes_up_to(10**5):
+        if p % 4 == 1:
+            assert class_number_enum(p).h == divisor_class_number(p), p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=10**8 - 10**4).map(next_prime_1_mod_4))
+def test_class_number_matches_divisor_enumeration_large(p):
+    assert class_number_enum(p).h == divisor_class_number(p)
+
+
+def test_class_number_at_the_enumeration_limit():
+    # the largest prime = 1 mod 4 below _ENUM_LIMIT, where the count
+    # above sqrt(p) runs over many blocks; the value is the divisor
+    # enumeration's
+    assert class_number_enum(1999999973).h == 47046
 
 
 def test_spot_class_numbers():

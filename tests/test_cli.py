@@ -1,10 +1,11 @@
 """Command line behavior: exit codes, schemas, byte-stable output."""
 
 import json
+import os
 
 import pytest
 
-from sixteenrank import Refusal
+from sixteenrank import Refusal, cli
 from sixteenrank.cli import (
     RunConfig,
     cmd_unit,
@@ -65,6 +66,28 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == VERIFY_CSV_200
+
+
+def test_out_flag_reports_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.csv"
+    code, out, err = run(capsys, ["verify", "--limit", "200", "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_threads_above_cpu_count_refused(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cores = os.cpu_count() or 1
+    code, out, err = run(capsys, ["verify", "--limit", "200", "--threads", str(cores + 1)])
+    assert code == 3
+    assert out == ""
+    assert f"capped at the {cores} CPUs" in err
 
 
 def test_verify_budget_refusal(capsys):
