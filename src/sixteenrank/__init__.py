@@ -26,7 +26,6 @@ from .classgroup import (
     principal_form,
     two_torsion_form,
 )
-from .cli import cmd_density, cmd_unit, cmd_verify_sixteen, main
 from .errors import Refusal
 from .gauss2adic import (
     Dyadic,
@@ -69,6 +68,18 @@ from .sievecounts import (
 )
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("cmd_density", "cmd_unit", "cmd_verify_sixteen", "main")
+
+
+def __getattr__(name):
+    # the cli names resolve on first use (PEP 562): importing cli here would
+    # put it in sys.modules before `python -m sixteenrank.cli` runs it
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ClassCount",

@@ -11,9 +11,13 @@ with kappa = int_0^1 sqrt(1 - t^4) dt and c(q1, q2) the exact rational
 density constant; for the class (a0 mod 16, c0 mod 4) of an odd a0 and
 even c0 it specializes to (kappa / 2 pi) X^(3/4) / log X.
 
-Primality for X up to a few 1e8 is answered by a shared odd-only sieve;
-beyond that the per-candidate deterministic Miller-Rabin path takes
-over (correct, but slow: the lattice holds ~X^(3/4) points).
+Primality for X up to a few 1e8 is answered by a shared odd-only sieve.
+Beyond that, each row of fixed c first strikes the a with a^2 + c^4
+divisible by a prime below _STRIKE_BOUND (a = 0 mod q when q | c, a odd
+when c is odd, a = +-r_q c^2 mod q with r_q^2 = -1 when q = 1 mod 4), and
+deterministic Miller-Rabin decides only the survivors.  In both paths the
+rows c and -c hold the same values, so a class that holds both walks the
+row once.
 """
 
 from __future__ import annotations
@@ -27,14 +31,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .arith import is_prime, odd_prime_flags
+from .arith import is_prime, odd_prime_flags, primes_up_to, sqrt_minus_one_mod_p
 from .errors import Refusal
 
 _X_LIMIT = 10**10
 _SIEVE_LIMIT = 3 * 10**8
 _RHO_LIMIT = 10**6
+# primes below this strike their roots from a row before Miller-Rabin
+_STRIKE_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -84,16 +89,54 @@ def _progression(lo: int, hi: int, r: int, q: int) -> np.ndarray:
     return np.arange(start, hi + 1, q, dtype=np.int64)
 
 
+@lru_cache(maxsize=1)
+def _strike_primes() -> tuple[tuple[int, int], ...]:
+    # (q, r) per prime q < _STRIKE_BOUND, with r^2 = -1 mod q when q = 1 mod 4
+    return tuple(
+        (q, sqrt_minus_one_mod_p(q) if q % 4 == 1 else 0)
+        for q in primes_up_to(_STRIKE_BOUND - 1)
+    )
+
+
+def _strike_survivors(n: np.ndarray, start: int, c: int, q1: int) -> np.ndarray:
+    # the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no prime
+    # factor q < _STRIKE_BOUND, plus every n <= _STRIKE_BOUND: the values
+    # left to Miller-Rabin
+    keep = np.ones(n.size, dtype=bool)
+    for q, r in _strike_primes():
+        if c % q == 0:
+            roots = (0,)
+        elif q == 2:
+            roots = (1,)
+        elif r:
+            s = r * c * c % q
+            roots = (s, q - s)
+        else:
+            continue  # q = 3 mod 4 and q does not divide c: no roots
+        if q1 % q == 0:
+            # every a of the row lies in one class mod q
+            if start % q in roots:
+                keep[:] = False
+                break
+            continue
+        step = pow(q1, -1, q)
+        for root in roots:
+            keep[(root - start) * step % q :: q] = False
+    keep |= n <= _STRIKE_BOUND
+    return n[keep]
+
+
 def _lattice_values(x: int, pair: CongruencePair):
     # yields, per eligible c, the array of prime values a^2 + c^4
     if x < 2:
         return
     flags = odd_prime_flags(max(x, 3)) if x <= _SIEVE_LIMIT else None
     cmax = math.isqrt(math.isqrt(x))
-    for c in _progression(-cmax, cmax, pair.c0, pair.q2):
-        c4 = int(c) ** 4
-        if c4 > x:
-            continue
+    # the rows c and -c hold the same values; when the class holds both,
+    # walk c >= 0 and yield each row with c > 0 twice
+    symmetric = 2 * pair.c0 % pair.q2 == 0
+    for c in _progression(0 if symmetric else -cmax, cmax, pair.c0, pair.q2).tolist():
+        c4 = c**4
         amax = math.isqrt(x - c4)
         a = _progression(-amax, amax, pair.a0, pair.q1)
         if a.size == 0:
@@ -103,9 +146,13 @@ def _lattice_values(x: int, pair: CongruencePair):
             odd = n & 1 == 1
             hits = n[odd][flags[n[odd] >> 1].astype(bool)]
             two = n[n == 2]
-            yield np.concatenate([hits, two]) if two.size else hits
+            primes = np.concatenate([hits, two]) if two.size else hits
         else:
-            yield np.array([v for v in n.tolist() if is_prime(v)], dtype=np.int64)
+            survivors = _strike_survivors(n, int(a[0]), c, pair.q1)
+            primes = np.array([v for v in survivors.tolist() if is_prime(v)], dtype=np.int64)
+        yield primes
+        if symmetric and c:
+            yield primes
 
 
 def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
@@ -137,6 +184,8 @@ def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
 @lru_cache(maxsize=1)
 def kappa() -> float:
     """kappa = int_0^1 sqrt(1 - t^4) dt by adaptive quadrature."""
+    from scipy.integrate import quad  # only kappa needs scipy; import it late
+
     value, err = quad(lambda t: math.sqrt(1.0 - t**4), 0.0, 1.0,
                       epsabs=1e-12, epsrel=1e-12)
     if err >= 1e-10:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixteenrank import (
     PrimeWitness,
@@ -36,6 +38,70 @@ def test_is_prime_strong_pseudoprime():
     n = 3215031751
     assert n == 151 * 751 * 28351
     assert not is_prime(n)
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# psi_k, the smallest strong pseudoprime to the first k bases (Jaeschke,
+# Math. Comp. 61, 1993; OEIS A014233), with its factors
+PSI = {
+    2: (1373653, (829, 1657)),
+    3: (25326001, (2251, 11251)),
+    4: (3215031751, (151, 751, 28351)),
+    5: (2152302898747, (6763, 10627, 29947)),
+    6: (3474749660383, (1303, 16927, 157543)),
+    7: (341550071728321, (10670053, 32010157)),
+    8: (341550071728321, (10670053, 32010157)),
+    9: (3825123056546413051, (149491, 747451, 34233211)),
+}
+
+
+def strong_probable_prime(n: int, base: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def miller_rabin_all_bases(n: int) -> bool:
+    """Trial division by the 12 bases, then all 12 as witnesses."""
+    if n < 2:
+        return False
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    return all(strong_probable_prime(n, base) for base in MR_BASES)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_rejects_psi_k(k):
+    # psi_k fools the first k bases, so is_prime must run more than k on it
+    n, factors = PSI[k]
+    assert n == math.prod(factors)
+    assert all(strong_probable_prime(n, base) for base in MR_BASES[:k])
+    assert not is_prime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 10**9),
+        st.sampled_from([n for n, _ in PSI.values()]).flatmap(
+            lambda n: st.integers(n - 2000, n + 2000)
+        ),
+    )
+)
+def test_is_prime_matches_all_bases(n):
+    assert is_prime(n) == miller_rabin_all_bases(n)
 
 
 def test_is_prime_large_mersenne():

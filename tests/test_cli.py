@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sixteenrank
 from sixteenrank import Refusal, cli
 from sixteenrank.cli import (
     RunConfig,
@@ -224,3 +228,25 @@ def test_renderers_cover_all_formats():
     unit = cmd_unit(41)
     for fmt in ("csv", "json", "text"):
         assert render_unit(unit, fmt).endswith("\n")
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(sixteenrank.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = run_python(
+        "-c", "import sys, sixteenrank.cli; print('scipy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_module_run_writes_no_warning():
+    proc = run_python("-m", "sixteenrank.cli", "unit", "--p", "41")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("p = 41\n")

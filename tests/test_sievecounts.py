@@ -23,6 +23,7 @@ from sixteenrank import (
     represented_primes,
     rho,
 )
+from sixteenrank import sievecounts
 from sixteenrank.sievecounts import TRIVIAL_PAIR
 
 
@@ -54,17 +55,31 @@ SAMPLE_PAIRS = (
     CongruencePair(1, 2, 0, 2),
     CongruencePair(0, 2, 1, 2),
     CongruencePair(1, 2, 1, 2),  # only p = 2 lives here
+    # q1 = 15: the strike of 5 takes a whole row (c = +-1 mod 5) or none of
+    # it, and c = 1 mod 3 holds no -c, so rows are walked for both signs of c
+    CongruencePair(2, 15, 1, 3),
 )
 
 
-def test_counts_match_brute_force():
+def assert_counts_match_brute_force():
+    # 5 = 2^2 + 1^4 and 17 = 1^2 + 2^4 are primes q that strike their own rows
     for pair in SAMPLE_PAIRS:
-        for x in (0, 1, 2, 50, 20000):
+        for x in (0, 1, 2, 5, 17, 50, 20000):
             lattice, primes = brute_counts(x, pair)
             assert count_primes(x, pair, mode="lattice") == lattice, (pair, x)
             assert count_primes(x, pair, mode="distinct") == len(primes), (pair, x)
             got = represented_primes(x, pair)
             assert sorted(primes) == list(got), (pair, x)
+
+
+def test_counts_match_brute_force():
+    assert_counts_match_brute_force()
+
+
+def test_counts_match_brute_force_above_sieve_limit(monkeypatch):
+    # every X lies above a zero limit: each row is struck, then Miller-Rabin
+    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", 0)
+    assert_counts_match_brute_force()
 
 
 def test_lattice_partition_by_parity():
