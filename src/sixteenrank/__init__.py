@@ -58,13 +58,10 @@ from .sievecounts import (
     count_report,
     density_constant,
     expected_main_term,
-    g_cubefree,
     g_value,
-    h_value,
     is_admissible,
     kappa,
     represented_primes,
-    rho,
 )
 
 __version__ = "0.1.0"
@@ -111,9 +108,7 @@ __all__ = [
     "divisibility_chain",
     "expected_main_term",
     "fundamental_unit",
-    "g_cubefree",
     "g_value",
-    "h_value",
     "hensel_sqrt",
     "is_admissible",
     "is_prime",
@@ -130,7 +125,6 @@ __all__ = [
     "principal_form",
     "represent_x2_32y2",
     "represented_primes",
-    "rho",
     "sixteen_divides",
     "sixteen_rank_case",
     "sqrt_minus_one_mod_p",

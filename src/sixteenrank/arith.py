@@ -76,12 +76,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     """All primes <= limit, as a cached immutable tuple."""
     if limit < 2:
         return ()
-    flags = np.ones(limit + 1, dtype=np.uint8)
-    flags[:2] = 0
-    for q in range(2, math.isqrt(limit) + 1):
-        if flags[q]:
-            flags[q * q :: q] = 0
-    return tuple(int(v) for v in np.nonzero(flags)[0])
+    return (2, *(2 * np.flatnonzero(odd_prime_flags(limit)) + 1).tolist())
 
 
 @lru_cache(maxsize=2)
@@ -92,7 +87,7 @@ def odd_prime_flags(limit: int) -> np.ndarray:
     """
     if limit < 1:
         raise Refusal("sieve limit must be >= 1")
-    flags = np.ones(limit // 2 + 1, dtype=np.uint8)
+    flags = np.ones((limit + 1) // 2, dtype=np.uint8)
     flags[0] = 0  # 1 is not prime
     for q in range(3, math.isqrt(limit) + 1, 2):
         if flags[q // 2]:

@@ -22,46 +22,20 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .arith import decompose_two_squares, is_prime
+from .arith import decompose_two_squares
 from .classgroup import class_number_enum
 from .errors import Refusal
 from .gauss2adic import RankCase, sixteen_divides, sixteen_rank_case
 from .realquad import fundamental_unit, predict_unit_congruences, williams_check
-from .sievecounts import CongruencePair, CountReport, count_report
+from .sievecounts import CongruencePair, CountReport, count_report, prime_rows
 
 VERIFY_BUDGET = 2 * 10**6
 _CLI_MODULUS_CAP = 10**4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation."""
-
-    command: str
-    limit_x: int | None = None
-    pair: CongruencePair | None = None
-    p: int | None = None
-    mode: str = "lattice"
-    format: str = "text"
-    output: str | None = None
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.command in ("verify", "density"):
-            if self.limit_x is None:
-                raise Refusal(f"{self.command} needs --limit")
-            if self.limit_x < 3:
-                raise Refusal(f"counting commands need --limit >= 3, got {self.limit_x}")
-        if self.command == "unit" and self.p is None:
-            raise Refusal("unit needs --p")
-        if self.threads < 1:
-            raise Refusal(f"--threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -89,17 +63,11 @@ def form_witnesses(limit: int) -> list[tuple[int, int, int]]:
     Each such prime has exactly one representation of this shape, so the
     list, sorted by p, enumerates the family without repeats.
     """
-    out = []
-    cmax = math.isqrt(math.isqrt(limit)) if limit >= 16 else 0
-    for c in range(2, cmax + 1, 2):
-        c4 = c**4
-        amax = math.isqrt(limit - c4)
-        for a in range(1, amax + 1, 2):
-            n = a * a + c4
-            if is_prime(n):
-                out.append((n, a, c))
-    out.sort()
-    return out
+    return sorted(
+        (a * a + c**4, a, c)
+        for c, row in prime_rows(limit, CongruencePair(1, 2, 0, 2)) if c > 0
+        for a in row.tolist() if a > 0
+    )
 
 
 def _verify_row(item: tuple[int, int, int]) -> VerifyRow:
@@ -132,6 +100,8 @@ def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
         raise Refusal(
             f"verify budget is limit <= {VERIFY_BUDGET}; rerun with a smaller --limit"
         )
+    if threads < 1:
+        raise Refusal(f"--threads must be >= 1, got {threads}")
     cores = os.cpu_count() or 1
     if threads > cores:
         raise Refusal(f"--threads is capped at the {cores} CPUs of this machine, got {threads}")
@@ -372,30 +342,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "unit" and args.limit < 3:
+            raise Refusal(f"counting commands need --limit >= 3, got {args.limit}")
         if args.command == "verify":
-            cfg = RunConfig(command="verify", limit_x=args.limit,
-                            format=args.format, output=args.out, threads=args.threads)
-            report = cmd_verify_sixteen(cfg.limit_x, threads=cfg.threads)
-            text = render_verify(report, cfg.format)
+            report = cmd_verify_sixteen(args.limit, threads=args.threads)
+            text = render_verify(report, args.format)
         elif args.command == "density":
-            cfg = RunConfig(command="density", limit_x=args.limit,
-                            pair=_parse_pair(args), mode=args.mode,
-                            format=args.format, output=args.out)
-            report = cmd_density(cfg.limit_x, pair=cfg.pair, mode=cfg.mode)
-            text = render_density(report, cfg.format)
+            report = cmd_density(args.limit, pair=_parse_pair(args), mode=args.mode)
+            text = render_density(report, args.format)
         else:
-            cfg = RunConfig(command="unit", p=args.p, format=args.format, output=args.out)
-            report = cmd_unit(cfg.p)
-            text = render_unit(report, cfg.format)
+            report = cmd_unit(args.p)
+            text = render_unit(report, args.format)
     except Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    if cfg.output:
+    if args.out:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {cfg.output}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(text)

@@ -11,13 +11,15 @@ with kappa = int_0^1 sqrt(1 - t^4) dt and c(q1, q2) the exact rational
 density constant; for the class (a0 mod 16, c0 mod 4) of an odd a0 and
 even c0 it specializes to (kappa / 2 pi) X^(3/4) / log X.
 
-Primality for X up to a few 1e8 is answered by a shared odd-only sieve.
-Beyond that, each row of fixed c first strikes the a with a^2 + c^4
-divisible by a prime below _STRIKE_BOUND (a = 0 mod q when q | c, a odd
-when c is odd, a = +-r_q c^2 mod q with r_q^2 = -1 when q = 1 mod 4), and
-deterministic Miller-Rabin decides only the survivors.  In both paths the
-rows c and -c hold the same values, so a class that holds both walks the
-row once.
+prime_rows is the one walk of the family: the counts here and the
+verify sweep's witnesses (cli.form_witnesses) all read its rows.
+Primality for X up to a few 1e8 is answered by the shared odd-only sieve
+of arith.  Beyond that, each row of fixed c first strikes the a with
+a^2 + c^4 divisible by a prime below _STRIKE_BOUND (a = 0 mod q when
+q | c, a odd when c is odd, a = +-r_q c^2 mod q with r_q^2 = -1 when
+q = 1 mod 4), and deterministic Miller-Rabin decides only the survivors.
+In both paths the rows c and -c hold the same a, so a class that holds
+both walks the row once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import Refusal
 
 _X_LIMIT = 10**10
 _SIEVE_LIMIT = 3 * 10**8
-_RHO_LIMIT = 10**6
 # primes below this strike their roots from a row before Miller-Rabin
 _STRIKE_BOUND = 1000
 
@@ -99,8 +100,8 @@ def _strike_primes() -> tuple[tuple[int, int], ...]:
 
 
 def _strike_survivors(n: np.ndarray, start: int, c: int, q1: int) -> np.ndarray:
-    # the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no prime
-    # factor q < _STRIKE_BOUND, plus every n <= _STRIKE_BOUND: the values
+    # mask of the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no
+    # prime factor q < _STRIKE_BOUND, or with n <= _STRIKE_BOUND: the values
     # left to Miller-Rabin
     keep = np.ones(n.size, dtype=bool)
     for q, r in _strike_primes():
@@ -123,17 +124,18 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, q1: int) -> np.ndarray:
         for root in roots:
             keep[(root - start) * step % q :: q] = False
     keep |= n <= _STRIKE_BOUND
-    return n[keep]
+    return keep
 
 
-def _lattice_values(x: int, pair: CongruencePair):
-    # yields, per eligible c, the array of prime values a^2 + c^4
+def prime_rows(x: int, pair: CongruencePair):
+    """Yield (c, a) per row of the class: a is the int64 array of the a
+    with a^2 + c^4 <= x prime, in increasing order."""
     if x < 2:
         return
     flags = odd_prime_flags(max(x, 3)) if x <= _SIEVE_LIMIT else None
     cmax = math.isqrt(math.isqrt(x))
-    # the rows c and -c hold the same values; when the class holds both,
-    # walk c >= 0 and yield each row with c > 0 twice
+    # the rows c and -c hold the same a; when the class holds both, walk
+    # c >= 0 and yield each row with c > 0 for both signs
     symmetric = 2 * pair.c0 % pair.q2 == 0
     for c in _progression(0 if symmetric else -cmax, cmax, pair.c0, pair.q2).tolist():
         c4 = c**4
@@ -143,16 +145,16 @@ def _lattice_values(x: int, pair: CongruencePair):
             continue
         n = a * a + c4
         if flags is not None:
+            prime = n == 2
             odd = n & 1 == 1
-            hits = n[odd][flags[n[odd] >> 1].astype(bool)]
-            two = n[n == 2]
-            primes = np.concatenate([hits, two]) if two.size else hits
+            prime[odd] = flags[n[odd] >> 1]
         else:
-            survivors = _strike_survivors(n, int(a[0]), c, pair.q1)
-            primes = np.array([v for v in survivors.tolist() if is_prime(v)], dtype=np.int64)
-        yield primes
+            prime = _strike_survivors(n, int(a[0]), c, pair.q1)
+            prime[prime] = [is_prime(v) for v in n[prime].tolist()]
+        a = a[prime]
+        yield c, a
         if symmetric and c:
-            yield primes
+            yield -c, a
 
 
 def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
@@ -167,7 +169,7 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
     if x < 0 or x > _X_LIMIT:
         raise Refusal(f"X must lie in [0, {_X_LIMIT}], got {x}")
     if mode == "lattice":
-        return sum(int(chunk.size) for chunk in _lattice_values(x, pair))
+        return sum(int(a.size) for _, a in prime_rows(x, pair))
     return int(represented_primes(x, pair).size)
 
 
@@ -175,10 +177,10 @@ def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
     """Sorted distinct primes a^2 + c^4 <= x matching the congruences."""
     if x < 0 or x > _X_LIMIT:
         raise Refusal(f"X must lie in [0, {_X_LIMIT}], got {x}")
-    chunks = [chunk for chunk in _lattice_values(x, pair) if chunk.size]
-    if not chunks:
+    values = [a * a + c**4 for c, a in prime_rows(x, pair)]
+    if not values:
         return np.array([], dtype=np.int64)
-    return np.unique(np.concatenate(chunks))
+    return np.unique(np.concatenate(values))
 
 
 @lru_cache(maxsize=1)
@@ -217,43 +219,6 @@ def g_value(p: int, j: int = 1) -> Fraction:
     return (1 + (1 + chi) * (1 - Fraction(1, p))) / p**2
 
 
-def g_cubefree(n: int) -> Fraction:
-    """Multiplicative extension of g (0 off cubefree integers)."""
-    if n < 1:
-        raise Refusal(f"need n >= 1, got {n}")
-    out = Fraction(1)
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            if e >= 3:
-                return Fraction(0)
-            out *= g_value(q, e)
-        q += 1 if q == 2 else 2
-    if m > 1:
-        out *= g_value(m, 1)
-    return out
-
-
-def h_value(p: int, j: int = 1) -> Fraction:
-    """The local density h(p^j) for odd primes, exact.
-
-    h(p) p = 1 + 2 (1 + chi4(p))  and  h(p^2) p^2 = p + 2 (1 + chi4(p)).
-    """
-    if j >= 3:
-        raise Refusal("h is supported on cubefree arguments (j <= 2)")
-    if j < 1 or p == 2 or not is_prime(p):
-        raise Refusal(f"need an odd prime power p^j with j in {{1, 2}}, got {p}^{j}")
-    chi = _chi4(p)
-    if j == 1:
-        return Fraction(1 + 2 * (1 + chi), p)
-    return Fraction(p + 2 * (1 + chi), p**2)
-
-
 def density_constant(pair: CongruencePair) -> Fraction:
     """c(q1, q2) = (1 / q1 q2) prod_{p | q} (1 - g(p))^-1, exact."""
     violation = _find_violation(pair)
@@ -284,14 +249,6 @@ def expected_main_term(x: int, pair: CongruencePair) -> float:
         raise Refusal(f"main term needs X >= 2, got {x}")
     dens = density_constant(pair)  # validates admissibility
     return float(dens) * (16.0 * kappa() / math.pi) * x**0.75 / math.log(x)
-
-
-def rho(b: int, d: int) -> int:
-    """Number of solutions alpha mod d to alpha^2 + b^2 = 0 mod d."""
-    if d < 1 or d > _RHO_LIMIT:
-        raise Refusal(f"need 1 <= d <= {_RHO_LIMIT}, got {d}")
-    alpha = np.arange(d, dtype=np.int64)
-    return int(np.count_nonzero((alpha * alpha + b * b) % d == 0))
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,16 @@ def test_odd_prime_flags_indexing():
         assert bool(flags[n // 2]) == trial_division_prime(n), n
 
 
+def test_one_sieve_every_small_limit():
+    for limit in range(1, 300):
+        flags = odd_prime_flags(limit)
+        assert len(flags) == (limit + 1) // 2, limit
+        for i, flag in enumerate(flags.tolist()):
+            assert bool(flag) == trial_division_prime(2 * i + 1), (limit, 2 * i + 1)
+        expected = tuple(n for n in range(limit + 1) if trial_division_prime(n))
+        assert primes_up_to(limit) == expected, limit
+
+
 def test_sqrt_minus_one_examples():
     assert sqrt_minus_one_mod_p(5) == 2
     assert sqrt_minus_one_mod_p(13) == 5

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import sixteenrank
-from sixteenrank import Refusal, cli
+from sixteenrank import cli
 from sixteenrank.cli import (
-    RunConfig,
     cmd_unit,
     cmd_verify_sixteen,
     main,
@@ -202,6 +201,9 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --limit is required
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["unit"])  # --p is required
+    assert exc.value.code == 2
 
 
 def test_threaded_sweep_matches_serial():
@@ -210,15 +212,10 @@ def test_threaded_sweep_matches_serial():
     assert serial == threaded
 
 
-def test_runconfig_validation():
-    with pytest.raises(Refusal):
-        RunConfig(command="verify")
-    with pytest.raises(Refusal):
-        RunConfig(command="density", limit_x=2)
-    with pytest.raises(Refusal):
-        RunConfig(command="unit")
-    with pytest.raises(Refusal):
-        RunConfig(command="verify", limit_x=10, threads=0)
+def test_threads_below_one_refused(capsys):
+    code, out, err = run(capsys, ["verify", "--limit", "200", "--threads", "0"])
+    assert code == 3 and out == ""
+    assert "--threads must be >= 1" in err
 
 
 def test_renderers_cover_all_formats():

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sixteenrank import (
@@ -14,16 +15,14 @@ from sixteenrank import (
     count_report,
     density_constant,
     expected_main_term,
-    g_cubefree,
     g_value,
-    h_value,
     is_admissible,
     is_prime,
     kappa,
     represented_primes,
-    rho,
 )
 from sixteenrank import sievecounts
+from sixteenrank.cli import form_witnesses
 from sixteenrank.sievecounts import TRIVIAL_PAIR
 
 
@@ -82,6 +81,40 @@ def test_counts_match_brute_force_above_sieve_limit(monkeypatch):
     assert_counts_match_brute_force()
 
 
+def brute_witnesses(limit):
+    """(p, a, c) with p = a^2 + c^4 <= limit prime, a odd > 0, c even > 0."""
+    out = []
+    for c in range(2, math.isqrt(math.isqrt(limit)) + 1, 2):
+        for a in range(1, math.isqrt(limit - c**4) + 1, 2):
+            if is_prime(a * a + c**4):
+                out.append((a * a + c**4, a, c))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("sieve_limit", [sievecounts._SIEVE_LIMIT, 0],
+                         ids=["sieve", "miller_rabin"])
+def test_form_witnesses_match_brute_force(monkeypatch, sieve_limit):
+    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", sieve_limit)
+    for limit in (3, 16, 17, 41, 200, 10**5):
+        assert form_witnesses(limit) == brute_witnesses(limit), limit
+
+
+@pytest.mark.parametrize("q1", [1, 2, 15, 16])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 5, 6, 10, 26, 65, 210])
+def test_strike_marks_exactly_small_factors(q1, c):
+    # a survivor is an n <= _STRIKE_BOUND or an n with no prime factor below
+    # it: per prime q, exactly the rho(c^2, q) roots of a^2 = -c^4 mod q go
+    a = np.arange(-700, 701, q1, dtype=np.int64)
+    n = a * a + c**4
+    small_factor = np.zeros(n.size, dtype=bool)
+    for q in range(2, sievecounts._STRIKE_BOUND):
+        if is_prime(q):
+            small_factor |= n % q == 0
+    want = (n <= sievecounts._STRIKE_BOUND) | ~small_factor
+    got = sievecounts._strike_survivors(n, int(a[0]), c, q1)
+    assert got.tolist() == want.tolist()
+
+
 def test_lattice_partition_by_parity():
     # a odd forces c even and vice versa, except a, c both odd which only
     # produces 2 = 1 + 1, contributing its four sign choices
@@ -136,48 +169,6 @@ def test_g_values_by_hand():
         g_value(2, 3)
     with pytest.raises(Refusal):
         g_value(6)
-
-
-def test_g_cubefree_multiplicative():
-    assert g_cubefree(1) == 1
-    assert g_cubefree(8) == 0
-    assert g_cubefree(27) == 0
-    assert g_cubefree(36) == g_value(2, 2) * g_value(3, 2) == Fraction(1, 36)
-    assert g_cubefree(10) == g_value(2) * g_value(5) == Fraction(9, 50)
-    for n in range(1, 200):
-        for m in range(1, 200):
-            if math.gcd(n, m) == 1 and n * m < 200:
-                assert g_cubefree(n * m) == g_cubefree(n) * g_cubefree(m)
-
-
-def test_h_values_by_hand():
-    assert h_value(5) == Fraction(5, 5) == 1  # (1 + 4)/5
-    assert h_value(3) == Fraction(1, 3)
-    assert h_value(5, 2) == Fraction(9, 25)  # (5 + 4)/25
-    assert h_value(3, 2) == Fraction(3, 9)
-    with pytest.raises(Refusal):
-        h_value(2)
-
-
-def brute_rho(b, d):
-    return sum(1 for alpha in range(d) if (alpha * alpha + b * b) % d == 0)
-
-
-def test_rho_brute_and_structure():
-    for d in range(1, 60):
-        for b in (0, 1, 2, 3, 7, 12):
-            assert rho(b, d) == brute_rho(b, d), (b, d)
-    # odd prime p not dividing b: solution count of x^2 = -b^2 is 1 + chi4(p)
-    for p in (5, 13, 17, 3, 7, 11):
-        chi = 1 if p % 4 == 1 else -1
-        assert rho(1, p) == 1 + chi
-        assert rho(2, p) == 1 + chi
-    # multiplicative across coprime moduli
-    for b in (1, 4, 9):
-        assert rho(b, 15) == rho(b, 3) * rho(b, 5)
-        assert rho(b, 85) == rho(b, 5) * rho(b, 17)
-    with pytest.raises(Refusal):
-        rho(1, 0)
 
 
 def test_density_constants():
