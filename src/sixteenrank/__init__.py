@@ -34,7 +34,6 @@ from .gauss2adic import (
     congruent,
     hensel_sqrt,
     is_square_unit,
-    is_unramified_unit,
     m_valuation,
     normalize_pi,
     omega0,
@@ -113,7 +112,6 @@ __all__ = [
     "is_admissible",
     "is_prime",
     "is_square_unit",
-    "is_unramified_unit",
     "kappa",
     "m_valuation",
     "main",

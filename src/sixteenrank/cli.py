@@ -25,14 +25,14 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arith import decompose_two_squares
 from .classgroup import class_number_enum
 from .errors import Refusal
 from .gauss2adic import RankCase, sixteen_divides, sixteen_rank_case
 from .realquad import fundamental_unit, predict_unit_congruences, williams_check
-from .sievecounts import CongruencePair, CountReport, count_report, prime_rows
+from .sievecounts import ClassCount, CongruencePair, CountReport, count_report, prime_rows
 
 VERIFY_BUDGET = 2 * 10**6
 _CLI_MODULUS_CAP = 10**4
@@ -180,37 +180,40 @@ def cmd_unit(p: int) -> UnitReport:
     )
 
 
-def _bool_cell(value: bool | None) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
-    return "true" if value else "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(str, value))
+    return str(value)
 
 
-def render_verify(report: VerifyReport, fmt: str) -> str:
+def _names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _render(fmt: str, doc: dict, header: list[str], records: list[dict],
+            lines: list[str]) -> str:
+    """The one writer of every report: doc as JSON, the records as a CSV
+    table under header, or the text lines."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "a", "c", "case", "v2", "two_adic_16", "agree"])
-        for r in report.rows:
-            writer.writerow(
-                [r.p, r.a, r.c, r.case, r.v2, _bool_cell(r.two_adic_16),
-                 _bool_cell(r.agree)]
-            )
+        writer.writerow(header)
+        writer.writerows([_cell(record[k]) for k in header] for record in records)
         return buf.getvalue()
-    if fmt == "json":
-        doc = {
-            "limit": report.limit,
-            "tallies": report.tallies,
-            "all_agree": report.all_agree,
-            "rows": [
-                {
-                    "p": r.p, "a": r.a, "c": r.c, "case": r.case, "v2": r.v2,
-                    "two_adic_16": r.two_adic_16, "agree": r.agree,
-                }
-                for r in report.rows
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def render_verify(report: VerifyReport, fmt: str) -> str:
+    # vars() hands out each row's own dict: a per-row asdict would deep-copy
+    records = [vars(r) for r in report.rows]
+    doc = {"limit": report.limit, "tallies": report.tallies,
+           "all_agree": report.all_agree, "rows": records}
     lines = [
         f"primes p = a^2 + c^4 <= {report.limit} (c even): {len(report.rows)}",
         f"  DIV16    (16 | h):        {report.tallies['DIV16']}",
@@ -218,60 +221,32 @@ def render_verify(report: VerifyReport, fmt: str) -> str:
         f"  NOT8     (8 does not divide h): {report.tallies['NOT8']}",
         f"all three routes agree: {report.all_agree}",
     ]
-    return "\n".join(lines) + "\n"
+    return _render(fmt, doc, _names(VerifyRow), records, lines)
 
 
 def render_density(report: CountReport, fmt: str) -> str:
-    if fmt == "csv":
-        return report.to_csv()
-    if fmt == "json":
-        return report.to_json()
-    lines = [f"X = {report.x}"]
-    header = f"{'a0':>4} {'q1':>4} {'c0':>4} {'q2':>4} {'lattice':>9} {'distinct':>9} {'expected':>14} {'ratio':>8}"
-    lines.append(header)
+    # one flat record per class: the pair's residues, X, then the counts
+    records = []
+    for row in report.rows:
+        record = {**vars(row.pair), "X": report.x, **vars(row)}
+        del record["pair"]
+        records.append(record)
+    header = [*_names(CongruencePair), "X", *_names(ClassCount)[1:]]
+    lines = [
+        f"X = {report.x}",
+        f"{'a0':>4} {'q1':>4} {'c0':>4} {'q2':>4} {'lattice':>9} {'distinct':>9} "
+        f"{'expected':>14} {'ratio':>8}",
+    ]
     for row in report.rows:
         lines.append(
             f"{row.pair.a0:>4} {row.pair.q1:>4} {row.pair.c0:>4} {row.pair.q2:>4} "
             f"{row.lattice_count:>9} {row.distinct_count:>9} "
             f"{row.expected:>14.2f} {row.ratio:>8.4f}"
         )
-    return "\n".join(lines) + "\n"
+    return _render(fmt, {"X": report.x, "rows": records}, header, records, lines)
 
 
 def render_unit(report: UnitReport, fmt: str) -> str:
-    as_dict = {
-        "p": report.p,
-        "t": report.t,
-        "u": report.u,
-        "norm": report.norm,
-        "t_mod_16": report.t_mod_16,
-        "u_mod_8": report.u_mod_8,
-        "h": report.h,
-        "williams_ok": report.williams_ok,
-        "case": report.case,
-        "predicted_t_mod_16": report.predicted_t_mod_16,
-        "predicted_u_mod_8": list(report.predicted_u_mod_8)
-        if report.predicted_u_mod_8 is not None
-        else None,
-        "prediction_match": report.prediction_match,
-    }
-    if fmt == "json":
-        return json.dumps(as_dict, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        keys = list(as_dict)
-        writer.writerow(keys)
-        writer.writerow(
-            [
-                as_dict[k]
-                if not isinstance(as_dict[k], (bool, type(None), list))
-                else (_bool_cell(as_dict[k]) if not isinstance(as_dict[k], list)
-                      else " ".join(map(str, as_dict[k])))
-                for k in keys
-            ]
-        )
-        return buf.getvalue()
     lines = [
         f"p = {report.p}",
         f"fundamental unit: T = {report.t}, U = {report.u}, norm = {report.norm}",
@@ -292,7 +267,7 @@ def render_unit(report: UnitReport, fmt: str) -> str:
                 f"U mod 8 in {set(report.predicted_u_mod_8)}: "
                 f"match = {report.prediction_match}"
             )
-    return "\n".join(lines) + "\n"
+    return _render(fmt, vars(report), _names(UnitReport), [vars(report)], lines)
 
 
 def _parse_pair(args) -> CongruencePair | None:

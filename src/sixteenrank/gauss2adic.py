@@ -37,10 +37,6 @@ from dataclasses import dataclass
 from .arith import PrimeWitness, _v2
 from .errors import Refusal
 
-# Working precision with two guard digits beyond the M^7 congruences
-# the criterion needs.
-DEFAULT_PRECISION = 9
-
 _MAX_PRECISION = 64
 
 
@@ -162,18 +158,12 @@ def m_power(k: int, precision: int) -> Dyadic:
 def m_valuation(z: Dyadic) -> int | float:
     """m-adic valuation of z, or math.inf when z = 0 mod M^precision.
 
-    With t = min(v_2(x), v_2(y)) the valuation is 2t when exactly one
-    coordinate has v_2 equal to t, and 2t + 1 when both do (then
-    x^2 + y^2 = 2 * odd * 4^t).  Values >= precision are reported as inf
-    because the truncation cannot distinguish them.
+    The stored pair differs from the true element by 2^J Z[i], which lies
+    in M^precision, so below the precision its exact valuation is the
+    element's.  Values >= precision are reported as inf because the
+    truncation cannot distinguish them.
     """
-    if z.x == 0 and z.y == 0:
-        return math.inf  # true valuation >= 2J >= precision
-    jj = z.j
-    vx = _v2(z.x) if z.x else jj
-    vy = _v2(z.y) if z.y else jj
-    t = min(vx, vy)
-    v = 2 * t + (1 if (vx == t and vy == t) else 0)
+    v = exact_m_valuation(GaussInt(z.x, z.y))
     return v if v < z.precision else math.inf
 
 
@@ -192,16 +182,6 @@ def is_square_unit(z: Dyadic) -> bool:
         raise Refusal("square test applies to units only")
     one = Dyadic.one(z.precision)
     return congruent(z, one, 5) or congruent(z, -one, 5)
-
-
-def is_unramified_unit(z: Dyadic) -> bool:
-    """Whether sqrt(z) generates an unramified extension (z = +-1 mod M^4)."""
-    if z.precision < 4:
-        raise Refusal("unramified test needs precision >= 4")
-    if m_valuation(z) != 0:
-        raise Refusal("unramified test applies to units only")
-    one = Dyadic.one(z.precision)
-    return congruent(z, one, 4) or congruent(z, -one, 4)
 
 
 def normalize_pi(w: PrimeWitness) -> GaussInt:

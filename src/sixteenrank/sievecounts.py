@@ -24,9 +24,6 @@ both walks the row once.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,44 +261,10 @@ class ClassCount:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Per-class counts at a common X, serializable as CSV or JSON."""
+    """Per-class counts at a common X."""
 
     x: int
     rows: tuple[ClassCount, ...]
-
-    _FIELDS = (
-        "a0", "q1", "c0", "q2", "X",
-        "lattice_count", "distinct_count", "expected", "ratio",
-    )
-
-    def _row_dict(self, row: ClassCount) -> dict:
-        return {
-            "a0": row.pair.a0,
-            "q1": row.pair.q1,
-            "c0": row.pair.c0,
-            "q2": row.pair.q2,
-            "X": self.x,
-            "lattice_count": row.lattice_count,
-            "distinct_count": row.distinct_count,
-            "expected": row.expected,
-            "ratio": row.ratio,
-        }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=self._FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in self.rows:
-            d = self._row_dict(row)
-            # shortest round-trip float text keeps the bytes reproducible
-            d["expected"] = repr(d["expected"])
-            d["ratio"] = repr(d["ratio"])
-            writer.writerow(d)
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        doc = {"X": self.x, "rows": [self._row_dict(r) for r in self.rows]}
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def count_report(x: int, pairs=None, ratio_mode: str = "lattice") -> CountReport:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,38 +43,22 @@ def divisor_class_number(p):
     """h(-4p) by the per-b divisor enumeration, the slow oracle.
 
     A reduced form has B = 2b with 0 <= 2b <= A <= C and AC = p + b^2;
-    each divisor A of p + b^2 in [max(1, 2b), sqrt(p + b^2)], found by
-    trial division, yields one form when b = 0, A = 2b or A = C, and a
-    (+-B)-pair otherwise.
+    each divisor A of p + b^2 in [max(1, 2b), sqrt(p + b^2)] yields one
+    form when b = 0, A = 2b or A = C, and a (+-B)-pair otherwise.  Each
+    block of b tests every A in its range at once, on a (b, A) grid of
+    about 2^20 cells.
     """
     bmax = math.isqrt(p // 3)
-    table = primes_up_to(math.isqrt(p + bmax * bmax) + 1)
+    rows = max(1, 2**20 // math.isqrt(p + bmax * bmax))
     h = 0
-    for b in range(bmax + 1):
+    for b0 in range(0, bmax + 1, rows):
+        b1 = min(b0 + rows, bmax + 1)
+        b = np.arange(b0, b1, dtype=np.int64)[:, None]
+        a = np.arange(max(1, 2 * b0), math.isqrt(p + (b1 - 1) ** 2) + 1, dtype=np.int64)
         n = p + b * b
-        fac = []
-        m = n
-        for q in table:
-            if q * q > m:
-                break
-            if m % q == 0:
-                e = 0
-                while m % q == 0:
-                    m //= q
-                    e += 1
-                fac.append((q, e))
-        if m > 1:
-            fac.append((m, 1))
-        lo = 2 * b
-        root = math.isqrt(n)
-        divs = [1]
-        for q, e in fac:
-            qe = [q**k for k in range(e + 1)]
-            divs = [d * f for d in divs for f in qe]
-        for a in divs:
-            if a < max(1, lo) or a > root:
-                continue
-            h += 1 if (b == 0 or a == lo or a * a == n) else 2
+        hit = (n % a == 0) & (a >= 2 * b) & (a * a <= n)
+        single = (b == 0) | (a == 2 * b) | (a * a == n)
+        h += 2 * int(np.count_nonzero(hit)) - int(np.count_nonzero(hit & single))
     return h
 
 

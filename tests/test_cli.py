@@ -14,6 +14,7 @@ from sixteenrank.cli import (
     cmd_unit,
     cmd_verify_sixteen,
     main,
+    render_density,
     render_unit,
     render_verify,
 )
@@ -26,6 +27,211 @@ VERIFY_CSV_200 = (
     "137,11,2,EXACTLY8,3,false,true\n"
 )
 
+# every byte each command writes, per format (test_verify_csv_golden holds
+# verify at 200 as CSV): verify at a limit with no prime (header only,
+# "rows": []) and one with null and false cells; unit in each congruence
+# case, and at 73, which is not of the form a^2 + c^4
+GOLDEN = {
+    "verify --limit 3 --format text": (
+        "primes p = a^2 + c^4 <= 3 (c even): 0\n"
+        "  DIV16    (16 | h):        0\n"
+        "  EXACTLY8 (8 | h, not 16): 0\n"
+        "  NOT8     (8 does not divide h): 0\n"
+        "all three routes agree: True\n"
+    ),
+    "verify --limit 3 --format csv": (
+        "p,a,c,case,v2,two_adic_16,agree\n"
+    ),
+    "verify --limit 3 --format json": (
+        "{\n"
+        '  "limit": 3,\n'
+        '  "tallies": {\n'
+        '    "DIV16": 0,\n'
+        '    "EXACTLY8": 0,\n'
+        '    "NOT8": 0\n'
+        "  },\n"
+        '  "all_agree": true,\n'
+        '  "rows": []\n'
+        "}\n"
+    ),
+    "verify --limit 200 --format text": (
+        "primes p = a^2 + c^4 <= 200 (c even): 4\n"
+        "  DIV16    (16 | h):        0\n"
+        "  EXACTLY8 (8 | h, not 16): 2\n"
+        "  NOT8     (8 does not divide h): 2\n"
+        "all three routes agree: True\n"
+    ),
+    "verify --limit 200 --format json": (
+        "{\n"
+        '  "limit": 200,\n'
+        '  "tallies": {\n'
+        '    "DIV16": 0,\n'
+        '    "EXACTLY8": 2,\n'
+        '    "NOT8": 2\n'
+        "  },\n"
+        '  "all_agree": true,\n'
+        '  "rows": [\n'
+        "    {\n"
+        '      "p": 17,\n'
+        '      "a": 1,\n'
+        '      "c": 2,\n'
+        '      "case": "NOT8",\n'
+        '      "v2": 2,\n'
+        '      "two_adic_16": null,\n'
+        '      "agree": true\n'
+        "    },\n"
+        "    {\n"
+        '      "p": 41,\n'
+        '      "a": 5,\n'
+        '      "c": 2,\n'
+        '      "case": "EXACTLY8",\n'
+        '      "v2": 3,\n'
+        '      "two_adic_16": false,\n'
+        '      "agree": true\n'
+        "    },\n"
+        "    {\n"
+        '      "p": 97,\n'
+        '      "a": 9,\n'
+        '      "c": 2,\n'
+        '      "case": "NOT8",\n'
+        '      "v2": 2,\n'
+        '      "two_adic_16": null,\n'
+        '      "agree": true\n'
+        "    },\n"
+        "    {\n"
+        '      "p": 137,\n'
+        '      "a": 11,\n'
+        '      "c": 2,\n'
+        '      "case": "EXACTLY8",\n'
+        '      "v2": 3,\n'
+        '      "two_adic_16": false,\n'
+        '      "agree": true\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
+    "unit --p 17 --format text": (
+        "p = 17\n"
+        "fundamental unit: T = 4, U = 1, norm = -1\n"
+        "T mod 16 = 4, U mod 8 = 1\n"
+        "h(-4p) = 4\n"
+        "unit congruence h = T + p - 1 mod 16: not applicable (8 does not divide h)\n"
+        "congruence class: NOT8\n"
+    ),
+    "unit --p 17 --format csv": (
+        "p,t,u,norm,t_mod_16,u_mod_8,h,williams_ok,case,predicted_t_mod_16,predicted_u_mod_8,prediction_match\n"
+        "17,4,1,-1,4,1,4,,NOT8,,,\n"
+    ),
+    "unit --p 17 --format json": (
+        "{\n"
+        '  "p": 17,\n'
+        '  "t": 4,\n'
+        '  "u": 1,\n'
+        '  "norm": -1,\n'
+        '  "t_mod_16": 4,\n'
+        '  "u_mod_8": 1,\n'
+        '  "h": 4,\n'
+        '  "williams_ok": null,\n'
+        '  "case": "NOT8",\n'
+        '  "predicted_t_mod_16": null,\n'
+        '  "predicted_u_mod_8": null,\n'
+        '  "prediction_match": null\n'
+        "}\n"
+    ),
+    "unit --p 41 --format text": (
+        "p = 41\n"
+        "fundamental unit: T = 32, U = 5, norm = -1\n"
+        "T mod 16 = 0, U mod 8 = 5\n"
+        "h(-4p) = 8\n"
+        "unit congruence h = T + p - 1 mod 16: True\n"
+        "congruence class: EXACTLY8\n"
+        "predicted T mod 16 = 0, U mod 8 in {3, 5}: match = True\n"
+    ),
+    "unit --p 41 --format csv": (
+        "p,t,u,norm,t_mod_16,u_mod_8,h,williams_ok,case,predicted_t_mod_16,predicted_u_mod_8,prediction_match\n"
+        "41,32,5,-1,0,5,8,true,EXACTLY8,0,3 5,true\n"
+    ),
+    "unit --p 41 --format json": (
+        "{\n"
+        '  "p": 41,\n'
+        '  "t": 32,\n'
+        '  "u": 5,\n'
+        '  "norm": -1,\n'
+        '  "t_mod_16": 0,\n'
+        '  "u_mod_8": 5,\n'
+        '  "h": 8,\n'
+        '  "williams_ok": true,\n'
+        '  "case": "EXACTLY8",\n'
+        '  "predicted_t_mod_16": 0,\n'
+        '  "predicted_u_mod_8": [\n'
+        "    3,\n"
+        "    5\n"
+        "  ],\n"
+        '  "prediction_match": true\n'
+        "}\n"
+    ),
+    "unit --p 73 --format text": (
+        "p = 73\n"
+        "fundamental unit: T = 1068, U = 125, norm = -1\n"
+        "T mod 16 = 12, U mod 8 = 5\n"
+        "h(-4p) = 4\n"
+        "unit congruence h = T + p - 1 mod 16: not applicable (8 does not divide h)\n"
+        "p is not of the form a^2 + c^4 with c even\n"
+    ),
+    "unit --p 73 --format csv": (
+        "p,t,u,norm,t_mod_16,u_mod_8,h,williams_ok,case,predicted_t_mod_16,predicted_u_mod_8,prediction_match\n"
+        "73,1068,125,-1,12,5,4,,,,,\n"
+    ),
+    "unit --p 73 --format json": (
+        "{\n"
+        '  "p": 73,\n'
+        '  "t": 1068,\n'
+        '  "u": 125,\n'
+        '  "norm": -1,\n'
+        '  "t_mod_16": 12,\n'
+        '  "u_mod_8": 5,\n'
+        '  "h": 4,\n'
+        '  "williams_ok": null,\n'
+        '  "case": null,\n'
+        '  "predicted_t_mod_16": null,\n'
+        '  "predicted_u_mod_8": null,\n'
+        '  "prediction_match": null\n'
+        "}\n"
+    ),
+    "unit --p 257 --format text": (
+        "p = 257\n"
+        "fundamental unit: T = 16, U = 1, norm = -1\n"
+        "T mod 16 = 0, U mod 8 = 1\n"
+        "h(-4p) = 16\n"
+        "unit congruence h = T + p - 1 mod 16: True\n"
+        "congruence class: DIV16\n"
+        "predicted T mod 16 = 0, U mod 8 in {1, 7}: match = True\n"
+    ),
+    "unit --p 257 --format csv": (
+        "p,t,u,norm,t_mod_16,u_mod_8,h,williams_ok,case,predicted_t_mod_16,predicted_u_mod_8,prediction_match\n"
+        "257,16,1,-1,0,1,16,true,DIV16,0,1 7,true\n"
+    ),
+    "unit --p 257 --format json": (
+        "{\n"
+        '  "p": 257,\n'
+        '  "t": 16,\n'
+        '  "u": 1,\n'
+        '  "norm": -1,\n'
+        '  "t_mod_16": 0,\n'
+        '  "u_mod_8": 1,\n'
+        '  "h": 16,\n'
+        '  "williams_ok": true,\n'
+        '  "case": "DIV16",\n'
+        '  "predicted_t_mod_16": 0,\n'
+        '  "predicted_u_mod_8": [\n'
+        "    1,\n"
+        "    7\n"
+        "  ],\n"
+        '  "prediction_match": true\n'
+        "}\n"
+    ),
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -37,6 +243,13 @@ def test_verify_csv_golden(capsys):
     code, out, err = run(capsys, ["verify", "--limit", "200", "--format", "csv"])
     assert code == 0 and err == ""
     assert out == VERIFY_CSV_200
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_output_bytes_golden(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    assert code == 0 and err == ""
+    assert out == GOLDEN[argv]
 
 
 def test_verify_output_is_reproducible(capsys):
@@ -109,8 +322,8 @@ def test_density_matches_library(capsys):
          "--c0", "0", "--q2", "4", "--format", "csv"],
     )
     assert code == 0
-    want = count_report(20000, pairs=[CongruencePair(1, 16, 0, 4)]).to_csv()
-    assert out == want
+    report = count_report(20000, pairs=[CongruencePair(1, 16, 0, 4)])
+    assert out == render_density(report, "csv")
 
 
 def test_density_mode_flag(capsys):
@@ -247,3 +460,11 @@ def test_module_run_writes_no_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("p = 41\n")
+
+
+def test_all_exports_resolve():
+    # a name left in __all__ after its function is deleted breaks `import *`
+    for name in sixteenrank.__all__:
+        assert hasattr(sixteenrank, name), name
+    proc = run_python("-c", "from sixteenrank import *")
+    assert proc.returncode == 0, proc.stderr

@@ -13,7 +13,6 @@ from sixteenrank import (
     decompose_two_squares,
     hensel_sqrt,
     is_square_unit,
-    is_unramified_unit,
     m_valuation,
     normalize_pi,
     omega0,
@@ -71,7 +70,7 @@ def test_m_valuation_matches_exact_below_precision():
     rng = random.Random(13)
     for _ in range(400):
         z = GaussInt(rng.randrange(-4000, 4000), rng.randrange(-4000, 4000))
-        for prec in (6, 9, 13):
+        for prec in (1, 2, 3, 6, 9, 13):
             exact = exact_m_valuation(z)
             got = m_valuation(Dyadic.from_gauss(z, prec))
             if exact < prec:
@@ -110,7 +109,7 @@ def test_square_units_exhaustive_mod_m8():
     # At precision 8 the ring has 256 residues, 128 of them units.  A unit
     # residue is a square of some residue iff it lies in the +-1 mod m^5
     # classes; there are exactly 16 such, forming the index-8 subgroup of
-    # squares, and 32 unramified ones at index 4.
+    # squares.
     prec = 8
     residues = list(all_residues(prec))
     units = [z for z in residues if m_valuation(z) == 0]
@@ -123,9 +122,6 @@ def test_square_units_exhaustive_mod_m8():
     flagged = [z for z in units if is_square_unit(z)]
     assert {(z.x, z.y) for z in flagged} == squares
     assert len(flagged) == 16
-    unram = [z for z in units if is_unramified_unit(z)]
-    assert len(unram) == 32
-    assert {(z.x, z.y) for z in flagged} <= {(z.x, z.y) for z in unram}
 
 
 def test_square_tests_reject_nonunits_and_low_precision():
@@ -133,8 +129,6 @@ def test_square_tests_reject_nonunits_and_low_precision():
         is_square_unit(Dyadic.from_gauss(GaussInt(1, 1), 9))
     with pytest.raises(Refusal):
         is_square_unit(Dyadic.one(4))
-    with pytest.raises(Refusal):
-        is_unramified_unit(Dyadic.one(3))
 
 
 def random_pi_one_mod_m5(rng):

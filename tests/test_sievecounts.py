@@ -22,7 +22,7 @@ from sixteenrank import (
     represented_primes,
 )
 from sixteenrank import sievecounts
-from sixteenrank.cli import form_witnesses
+from sixteenrank.cli import form_witnesses, render_density
 from sixteenrank.sievecounts import TRIVIAL_PAIR
 
 
@@ -247,15 +247,15 @@ def report_20000():
 
 
 def test_report_csv_bytes_are_stable():
-    assert report_20000().to_csv() == GOLDEN_CSV
+    assert render_density(report_20000(), "csv") == GOLDEN_CSV
 
 
 def test_report_json_bytes_are_stable():
-    assert report_20000().to_json() == GOLDEN_JSON
+    assert render_density(report_20000(), "json") == GOLDEN_JSON
 
 
 def test_report_json_structure():
-    doc = json.loads(report_20000().to_json())
+    doc = json.loads(render_density(report_20000(), "json"))
     assert doc["X"] == 20000
     assert len(doc["rows"]) == 2
     row = doc["rows"][0]
