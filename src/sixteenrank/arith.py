@@ -66,6 +66,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod mod, for 0 <= base and mod below 2^31."""
+    out = np.ones_like(mod)
+    for k in range(int(exp.max(initial=0)).bit_length()):
+        out = np.where((exp >> k) & 1, out * base % mod, out)
+        base = base * base % mod
+    return out
+
+
+# entries per block of the arrays _runs yields
+_BLOCK = 1 << 12
+
+
+def _runs(start: np.ndarray, step: np.ndarray, count: np.ndarray):
+    """The progressions start[i] + k step[i], 0 <= k < count[i], in order,
+    as pairs (i, value) of arrays of at most _BLOCK entries each, so that
+    memory stays bounded however long the runs are."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for e0 in range(0, total, _BLOCK):
+        e = np.arange(e0, min(e0 + _BLOCK, total))
+        i = np.searchsorted(ends, e, side="right")
+        yield i, start[i] + step[i] * (e - ends[i] + count[i])
+
+
 def _v2(n: int) -> int:
     # 2-adic valuation of a nonzero integer
     return (n & -n).bit_length() - 1

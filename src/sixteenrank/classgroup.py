@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    _powmod,
+    _runs,
     _v2,
     decompose_two_squares,
     is_prime,
@@ -36,8 +38,6 @@ from .errors import Refusal
 
 _ENUM_LIMIT = 2 * 10**9
 _DIRICHLET_LIMIT = 10**6
-# entries per block of the arrays class_number_enum works on
-_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def _root_counts(p: int, n: int) -> np.ndarray:
     # a power-of-two limit, so that primes_up_to's cache serves many p
     q = np.array(primes_up_to(1 << n.bit_length()), dtype=np.int64)
     q = q[(q > 2) & (q <= n)]
-    split = _is_square_mod(-p % q, q)
+    split = _powmod(-p % q, q >> 1, q) == 1  # Euler's criterion
     # n <= sqrt(4 _ENUM_LIMIT / 3) < 3*5*7*11*13*17, so rho <= 2^5 fits int8
     rho = np.ones(n + 1, dtype=np.int8)
     rho[0] = 0
@@ -152,28 +152,6 @@ def _root_counts(p: int, n: int) -> np.ndarray:
         np.multiply.at(rho, mult[s], np.int8(2))  # an int8 factor keeps the fast path
         rho[mult[~s]] = 0
     return rho
-
-
-def _is_square_mod(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euler's criterion a^((q-1)/2) = 1 (mod q) for odd primes q < 2^31."""
-    e = q >> 1
-    r = np.ones_like(q)
-    for k in range(int(e.max(initial=0)).bit_length()):
-        r = np.where((e >> k) & 1, r * a % q, r)
-        a = a * a % q
-    return r == 1
-
-
-def _runs(start: np.ndarray, step: np.ndarray, count: np.ndarray):
-    """The progressions start[i] + k step[i], 0 <= k < count[i], in order,
-    as pairs (i, value) of arrays of at most _BLOCK entries each, so that
-    memory stays bounded however long the runs are."""
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if ends.size else 0
-    for e0 in range(0, total, _BLOCK):
-        e = np.arange(e0, min(e0 + _BLOCK, total))
-        i = np.searchsorted(ends, e, side="right")
-        yield i, start[i] + step[i] * (e - ends[i] + count[i])
 
 
 def _ceil_sqrt(m: np.ndarray) -> np.ndarray:

@@ -12,14 +12,17 @@ density constant; for the class (a0 mod 16, c0 mod 4) of an odd a0 and
 even c0 it specializes to (kappa / 2 pi) X^(3/4) / log X.
 
 prime_rows is the one walk of the family: the counts here and the
-verify sweep's witnesses (cli.form_witnesses) all read its rows.
-Primality for X up to a few 1e8 is answered by the shared odd-only sieve
-of arith.  Beyond that, each row of fixed c first strikes the a with
-a^2 + c^4 divisible by a prime below _STRIKE_BOUND (a = 0 mod q when
-q | c, a odd when c is odd, a = +-r_q c^2 mod q with r_q^2 = -1 when
-q = 1 mod 4), and deterministic Miller-Rabin decides only the survivors.
-In both paths the rows c and -c hold the same a, so a class that holds
-both walks the row once.
+verify sweep's witnesses (cli.form_witnesses) all read its rows.  Each
+row of fixed c strikes the a with a^2 + c^4 divisible by a prime q up to
+a bound: a = 0 mod q when q | c, a odd when q = 2 and c is odd,
+a = +-r_q c^2 mod q with r_q^2 = -1 when q = 1 mod 4, and a whole row or
+none of it when q | q1.  Up to X = _SIEVE_LIMIT the bound is sqrt(X), so
+a survivor above it is prime, and the values up to sqrt(X), which a
+prime q = n strikes from its own row, are read from the odd-only sieve
+of arith up to sqrt(X).  Above _SIEVE_LIMIT only the primes below
+_STRIKE_BOUND strike, and deterministic Miller-Rabin decides the
+survivors.  In both paths the rows c and -c hold the same a, so a class
+that holds both walks the row once.
 """
 
 from __future__ import annotations
@@ -28,15 +31,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import is_prime, odd_prime_flags, primes_up_to, sqrt_minus_one_mod_p
+from .arith import _powmod, _runs, is_prime, odd_prime_flags
 from .errors import Refusal
 
 _X_LIMIT = 10**10
+# up to this X every row is struck by all primes <= sqrt(X); above it only
+# the primes below _STRIKE_BOUND strike, then Miller-Rabin decides the rest
 _SIEVE_LIMIT = 3 * 10**8
-# primes below this strike their roots from a row before Miller-Rabin
 _STRIKE_BOUND = 1000
 
 
@@ -87,40 +92,61 @@ def _progression(lo: int, hi: int, r: int, q: int) -> np.ndarray:
     return np.arange(start, hi + 1, q, dtype=np.int64)
 
 
-@lru_cache(maxsize=1)
-def _strike_primes() -> tuple[tuple[int, int], ...]:
-    # (q, r) per prime q < _STRIKE_BOUND, with r^2 = -1 mod q when q = 1 mod 4
-    return tuple(
-        (q, sqrt_minus_one_mod_p(q) if q % 4 == 1 else 0)
-        for q in primes_up_to(_STRIKE_BOUND - 1)
-    )
+class _Strike(NamedTuple):
+    """The primes q <= bound that strike a row, and what each needs."""
+
+    bound: int
+    flags: np.ndarray  # arith.odd_prime_flags(bound)
+    q: np.ndarray
+    r: np.ndarray  # r^2 = -1 mod q; 1 for q = 2, 0 (no root) for q = 3 mod 4
+    inv: np.ndarray  # q1^-1 mod q where q does not divide q1
+    whole: np.ndarray  # q | q1: every a of a row lies in one class mod q
 
 
-def _strike_survivors(n: np.ndarray, start: int, c: int, q1: int) -> np.ndarray:
+def _strike_table(bound: int, q1: int) -> _Strike:
+    # one lookup of the shared sieve, bound >= 1
+    flags = odd_prime_flags(bound)
+    q = 2 * np.flatnonzero(flags).astype(np.int64) + 1
+    if bound >= 2:
+        q = np.concatenate(([2], q))
+    # r = d^((q - 1) / 4) for the least d with r^2 = (d | q) = -1; that d
+    # is a prime, as a product of residues is a residue
+    r = (q == 2).astype(np.int64)
+    todo = np.flatnonzero(q % 4 == 1)
+    for d in q.tolist():
+        if todo.size == 0:
+            break
+        qt = q[todo]
+        t = _powmod(np.full_like(qt, d), (qt - 1) // 4, qt)
+        found = t * t % qt == qt - 1
+        r[todo[found]] = t[found]
+        todo = todo[~found]
+    return _Strike(bound, flags, q, r, _powmod(q1 % q, q - 2, q), q1 % q == 0)
+
+
+def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.ndarray:
     # mask of the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no
-    # prime factor q < _STRIKE_BOUND, or with n <= _STRIKE_BOUND: the values
-    # left to Miller-Rabin
+    # prime factor q <= strike.bound, or with n <= strike.bound
+    q = strike.q
+    cq = c % q
+    # the roots of a^2 = -c^4 mod q are +-s; q = 3 mod 4 has none unless q | c
+    s = strike.r * (cq * cq % q) % q
+    rooted = (strike.r != 0) | (cq == 0)
     keep = np.ones(n.size, dtype=bool)
-    for q, r in _strike_primes():
-        if c % q == 0:
-            roots = (0,)
-        elif q == 2:
-            roots = (1,)
-        elif r:
-            s = r * c * c % q
-            roots = (s, q - s)
-        else:
-            continue  # q = 3 mod 4 and q does not divide c: no roots
-        if q1 % q == 0:
-            # every a of the row lies in one class mod q
-            if start % q in roots:
-                keep[:] = False
-                break
-            continue
-        step = pow(q1, -1, q)
-        for root in roots:
-            keep[(root - start) * step % q :: q] = False
-    keep |= n <= _STRIKE_BOUND
+    row = rooted & strike.whole
+    if np.any(((start - s[row]) % q[row] == 0) | ((start + s[row]) % q[row] == 0)):
+        keep[:] = False
+    else:
+        sel = rooted & ~strike.whole
+        qs = np.concatenate((q[sel], q[sel]))
+        # first index k0 of each root in the row: start + k0 q1 = root mod q
+        k0 = np.concatenate((s[sel], -s[sel])) - start
+        k0 = k0 % qs * np.concatenate((strike.inv[sel], strike.inv[sel])) % qs
+        live = k0 < n.size
+        k0, qs = k0[live], qs[live]
+        for _, struck in _runs(k0, qs, (n.size - 1 - k0) // qs + 1):
+            keep[struck] = False
+    keep |= n <= strike.bound
     return keep
 
 
@@ -129,7 +155,8 @@ def prime_rows(x: int, pair: CongruencePair):
     with a^2 + c^4 <= x prime, in increasing order."""
     if x < 2:
         return
-    flags = odd_prime_flags(max(x, 3)) if x <= _SIEVE_LIMIT else None
+    sieve = x <= _SIEVE_LIMIT
+    strike = _strike_table(math.isqrt(x) if sieve else _STRIKE_BOUND - 1, pair.q1)
     cmax = math.isqrt(math.isqrt(x))
     # the rows c and -c hold the same a; when the class holds both, walk
     # c >= 0 and yield each row with c > 0 for both signs
@@ -141,17 +168,26 @@ def prime_rows(x: int, pair: CongruencePair):
         if a.size == 0:
             continue
         n = a * a + c4
-        if flags is not None:
-            prime = n == 2
-            odd = n & 1 == 1
-            prime[odd] = flags[n[odd] >> 1]
-        else:
-            prime = _strike_survivors(n, int(a[0]), c, pair.q1)
-            prime[prime] = [is_prime(v) for v in n[prime].tolist()]
+        prime = _strike_survivors(n, int(a[0]), c, strike)
+        if not sieve:
+            # a survivor may have a prime factor between the bound and sqrt(x)
+            test = prime & (n > strike.bound)
+            prime[test] = [is_prime(v) for v in n[test].tolist()]
+        # the values up to the bound survive the strike; the sieve decides them
+        small = np.flatnonzero(n <= strike.bound)
+        v = n[small]
+        prime[small] = v == 2
+        odd = v & 1 == 1
+        prime[small[odd]] = strike.flags[v[odd] >> 1]
         a = a[prime]
         yield c, a
         if symmetric and c:
             yield -c, a
+
+
+def _check_x(x: int) -> None:
+    if x < 0 or x > _X_LIMIT:
+        raise Refusal(f"X must lie in [0, {_X_LIMIT}], got {x}")
 
 
 def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
@@ -163,8 +199,7 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
     """
     if mode not in ("lattice", "distinct"):
         raise Refusal(f"mode must be 'lattice' or 'distinct', got {mode!r}")
-    if x < 0 or x > _X_LIMIT:
-        raise Refusal(f"X must lie in [0, {_X_LIMIT}], got {x}")
+    _check_x(x)
     if mode == "lattice":
         return sum(int(a.size) for _, a in prime_rows(x, pair))
     return int(represented_primes(x, pair).size)
@@ -172,8 +207,7 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
 
 def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
     """Sorted distinct primes a^2 + c^4 <= x matching the congruences."""
-    if x < 0 or x > _X_LIMIT:
-        raise Refusal(f"X must lie in [0, {_X_LIMIT}], got {x}")
+    _check_x(x)
     values = [a * a + c**4 for c, a in prime_rows(x, pair)]
     if not values:
         return np.array([], dtype=np.int64)
@@ -271,8 +305,10 @@ def count_report(x: int, pairs=None, ratio_mode: str = "lattice") -> CountReport
     """Build a CountReport over the given pairs (default: the 16 classes)."""
     if ratio_mode not in ("lattice", "distinct"):
         raise Refusal(f"ratio_mode must be 'lattice' or 'distinct', got {ratio_mode!r}")
-    if pairs is None:
-        pairs = canonical_pairs()
+    pairs = canonical_pairs() if pairs is None else tuple(pairs)
+    _check_x(x)
+    for pair in pairs:
+        density_constant(pair)  # refuses an inadmissible pair before any row is walked
     rows = []
     for pair in pairs:
         lattice = count_primes(x, pair, "lattice")

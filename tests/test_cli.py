@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sixteenrank
-from sixteenrank import cli
+from sixteenrank import cli, sievecounts
 from sixteenrank.cli import (
     cmd_unit,
     cmd_verify_sixteen,
@@ -351,6 +351,21 @@ def test_density_refuses_inadmissible_pair(capsys):
     )
     assert code == 3
     assert "not invertible" in err
+
+
+@pytest.mark.parametrize("limit", ["300000000", "10000000000"])
+def test_density_refuses_inadmissible_pair_before_any_walk(capsys, monkeypatch, limit):
+    def no_walk(x, pair):
+        raise AssertionError("a row was walked before the refusal")
+
+    monkeypatch.setattr(sievecounts, "prime_rows", no_walk)
+    code, out, err = run(
+        capsys,
+        ["density", "--limit", limit, "--a0", "2", "--q1", "15",
+         "--c0", "1", "--q2", "3"],
+    )
+    assert (code, out) == (3, "")
+    assert err == "refused: pair is not admissible: 2^2 + 1^4 = 5 mod 15 is not invertible\n"
 
 
 def test_density_refuses_tiny_limit(capsys):

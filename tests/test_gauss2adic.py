@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixteenrank import (
     Dyadic,
@@ -253,3 +255,23 @@ def test_rank_case_rejects_wrong_parity():
         sixteen_rank_case(2, 2)
     with pytest.raises(Refusal):
         sixteen_rank_case(3, 3)
+
+
+@st.composite
+def dyadic_triples(draw):
+    precision = draw(st.integers(min_value=1, max_value=40))
+    coords = st.integers(min_value=-(1 << 24), max_value=1 << 24)
+    return tuple(Dyadic(draw(coords), draw(coords), precision) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_triples())
+def test_dyadic_ring_laws(triple):
+    a, b, c = triple
+    zero = Dyadic(0, 0, a.precision)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == zero

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixteenrank import (
     CongruencePair,
@@ -61,9 +63,11 @@ SAMPLE_PAIRS = (
 
 
 def assert_counts_match_brute_force():
-    # 5 = 2^2 + 1^4 and 17 = 1^2 + 2^4 are primes q that strike their own rows
+    # 5 = 2^2 + 1^4 and 17 = 1^2 + 2^4 are primes q that strike their own
+    # rows; at 25 = 3^2 + 2^4 and 169 = 13^2 + 0^4, X = q^2 for the largest
+    # prime q = isqrt(X) that strikes
     for pair in SAMPLE_PAIRS:
-        for x in (0, 1, 2, 5, 17, 50, 20000):
+        for x in (0, 1, 2, 5, 17, 25, 50, 169, 20000):
             lattice, primes = brute_counts(x, pair)
             assert count_primes(x, pair, mode="lattice") == lattice, (pair, x)
             assert count_primes(x, pair, mode="distinct") == len(primes), (pair, x)
@@ -79,6 +83,26 @@ def test_counts_match_brute_force_above_sieve_limit(monkeypatch):
     # every X lies above a zero limit: each row is struck, then Miller-Rabin
     monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", 0)
     assert_counts_match_brute_force()
+
+
+@st.composite
+def pairs(draw):
+    q1 = draw(st.integers(min_value=1, max_value=60))
+    q2 = draw(st.integers(min_value=1, max_value=60))
+    return CongruencePair(draw(st.integers(0, q1 - 1)), q1, draw(st.integers(0, q2 - 1)), q2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**7), pairs())
+def test_sieve_agrees_with_miller_rabin(x, pair):
+    def counts():
+        return (count_primes(x, pair, "lattice"), count_primes(x, pair, "distinct"),
+                represented_primes(x, pair).tolist())
+
+    sieved = counts()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sievecounts, "_SIEVE_LIMIT", 0)
+        assert counts() == sieved
 
 
 def brute_witnesses(limit):
@@ -111,7 +135,22 @@ def test_strike_marks_exactly_small_factors(q1, c):
         if is_prime(q):
             small_factor |= n % q == 0
     want = (n <= sievecounts._STRIKE_BOUND) | ~small_factor
-    got = sievecounts._strike_survivors(n, int(a[0]), c, q1)
+    strike = sievecounts._strike_table(sievecounts._STRIKE_BOUND - 1, q1)
+    got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("q1", [1, 2, 15, 16])
+@pytest.mark.parametrize("c", [0, 1, 2, 3, 5, 6, 10, 26, 65, 210])
+def test_strike_at_full_bound_leaves_exactly_primes(q1, c):
+    # struck by every prime q <= isqrt(max n), a survivor n is prime or
+    # n <= isqrt(max n), where n == q strikes itself
+    a = np.arange(-700, 701, q1, dtype=np.int64)
+    n = a * a + c**4
+    bound = math.isqrt(int(n.max()))
+    want = np.array([is_prime(v) for v in n.tolist()]) | (n <= bound)
+    strike = sievecounts._strike_table(bound, q1)
+    got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
     assert got.tolist() == want.tolist()
 
 
