@@ -9,7 +9,12 @@ of primes so represented.  The expected main term is
 
 with kappa = int_0^1 sqrt(1 - t^4) dt and c(q1, q2) the exact rational
 density constant; for the class (a0 mod 16, c0 mod 4) of an odd a0 and
-even c0 it specializes to (kappa / 2 pi) X^(3/4) / log X.
+even c0 it specializes to (kappa / 2 pi) X^(3/4) / log X.  kappa is a
+float constant, the value adaptive quadrature gives, so nothing here
+needs scipy.
+c(q1, q2) exists when a^2 + c^4 is a unit mod lcm(q1, q2) for every lift;
+that is decided prime by prime, as CRT makes the lifts independent mod
+each prime of the modulus.
 
 prime_rows is the one walk of the family: the counts here and the
 verify sweep's witnesses (cli.form_witnesses) all read its rows.  Each
@@ -30,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -76,14 +80,51 @@ def is_admissible(pair: CongruencePair) -> bool:
     return _find_violation(pair) is None
 
 
+def _prime_divisors(q: int) -> list[int]:
+    # the primes dividing q >= 1, by trial division
+    out = []
+    r = 2
+    while r * r <= q:
+        if q % r == 0:
+            out.append(r)
+            while q % r == 0:
+                q //= r
+        r += 1 if r == 2 else 2
+    if q > 1:
+        out.append(q)
+    return out
+
+
+def _residues(r: int, m: int, ell: int):
+    # the residues mod the prime ell of the lifts r + i m
+    return (r % ell,) if m % ell == 0 else range(ell)
+
+
+def _first_lift(r: int, m: int, ells: list[int], bad) -> int | None:
+    # least i >= 0 with bad(ell, (r + i m) % ell) for some ell, else None; an
+    # ell that does not divide m divides q / m, so every residue h mod ell is
+    # reached, first at i = (h - r) / m mod ell
+    steps = []
+    for ell in ells:
+        inv = 0 if m % ell == 0 else pow(m, -1, ell)
+        steps.extend((h - r) * inv % ell for h in _residues(r, m, ell) if bad(ell, h))
+    return min(steps, default=None)
+
+
 def _find_violation(pair: CongruencePair) -> tuple[int, int, int] | None:
-    # first lift (a1, c1) mod q with gcd(a1^2 + c1^4, q) > 1, else None
+    # first lift (a1, c1) mod q = lcm(q1, q2), a1 = a0 + i q1 outer and
+    # c1 = c0 + j q2 inner, with gcd(a1^2 + c1^4, q) > 1, else None.  By CRT
+    # the lifts run independently mod each prime ell | q, and ell divides q1
+    # or q2, so a or c is fixed mod ell and each ell costs O(ell)
     q = math.lcm(pair.q1, pair.q2)
-    for a1 in range(pair.a0 % q, q, pair.q1):
-        for c1 in range(pair.c0 % q, q, pair.q2):
-            if math.gcd(a1 * a1 + c1**4, q) != 1:
-                return (a1, c1, q)
-    return None
+    ells = _prime_divisors(q)
+    i = _first_lift(pair.a0, pair.q1, ells, lambda ell, a: any(
+        (a * a + c**4) % ell == 0 for c in _residues(pair.c0, pair.q2, ell)))
+    if i is None:
+        return None
+    a1 = pair.a0 + i * pair.q1
+    j = _first_lift(pair.c0, pair.q2, ells, lambda ell, c: (a1 * a1 + c**4) % ell == 0)
+    return (a1, pair.c0 + j * pair.q2, q)
 
 
 def _progression(lo: int, hi: int, r: int, q: int) -> np.ndarray:
@@ -214,16 +255,17 @@ def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
     return np.unique(np.concatenate(values))
 
 
-@lru_cache(maxsize=1)
 def kappa() -> float:
-    """kappa = int_0^1 sqrt(1 - t^4) dt by adaptive quadrature."""
-    from scipy.integrate import quad  # only kappa needs scipy; import it late
+    """kappa = int_0^1 sqrt(1 - t^4) dt = Gamma(1/4)^2 / (6 sqrt(2 pi)).
 
-    value, err = quad(lambda t: math.sqrt(1.0 - t**4), 0.0, 1.0,
-                      epsabs=1e-12, epsrel=1e-12)
-    if err >= 1e-10:
-        raise ArithmeticError(f"quadrature did not converge: error estimate {err}")
-    return value
+    The double that adaptive quadrature (scipy.integrate.quad, epsabs =
+    epsrel = 1e-12) returns, 0x1.bf7f714d46b99p-1.  It lies 3 ulp above
+    the double nearest the true 0.87401918476399993682..., and is kept
+    as is: the main terms, and so every report's bytes, are built from
+    these bits.  The tests check it against the quadrature and the
+    Gamma form.
+    """
+    return 0.8740191847640403
 
 
 def _chi4(n: int) -> int:
@@ -261,16 +303,8 @@ def density_constant(pair: CongruencePair) -> Fraction:
         )
     q = math.lcm(pair.q1, pair.q2)
     out = Fraction(1, pair.q1 * pair.q2)
-    m = q
-    r = 2
-    while r * r <= m:
-        if m % r == 0:
-            out /= 1 - g_value(r, 1)
-            while m % r == 0:
-                m //= r
-        r += 1 if r == 2 else 2
-    if m > 1:
-        out /= 1 - g_value(m, 1)
+    for ell in _prime_divisors(q):
+        out /= 1 - g_value(ell, 1)
     return out
 
 

@@ -263,3 +263,16 @@ def test_one_plus_i_root_choice_is_irrelevant():
 def test_one_plus_i_rejects():
     with pytest.raises(Refusal):
         one_plus_i_is_square(13)  # 13 = 5 mod 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 40))
+def test_decompose_just_below_two_to_the_64(offset):
+    # the largest prime p = 1 mod 4 at or below 2^64 - 1 - offset
+    p = (1 << 64) - 1 - offset
+    p -= (p - 1) % 4
+    while not is_prime(p):
+        p -= 4
+    w = decompose_two_squares(p)
+    assert w.a * w.a + w.b * w.b == p
+    assert w.a % 4 == 1 and w.b % 2 == 0

@@ -470,6 +470,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_density_leaves_scipy_unloaded():
+    proc = run_python(
+        "-c",
+        "import io, sys, contextlib, sixteenrank.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = sixteenrank.cli.main(['density', '--limit', '100000'])\n"
+        "print(code, 'scipy' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
 def test_module_run_writes_no_warning():
     proc = run_python("-m", "sixteenrank.cli", "unit", "--p", "41")
     assert proc.returncode == 0

@@ -275,3 +275,27 @@ def test_dyadic_ring_laws(triple):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + (-a) == zero
+
+
+@st.composite
+def dyadic_pairs(draw):
+    # coordinates up to +-2^70, the second point often a small multiple of
+    # 2^(J-1) away from the first, where odd precision decides ==
+    precision = draw(st.integers(min_value=1, max_value=64))
+    coords = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+    x1, y1 = draw(coords), draw(coords)
+    if draw(st.booleans()):
+        step = 1 << ((precision + 1) // 2 - 1)
+        small = st.integers(min_value=-4, max_value=4)
+        x2, y2 = x1 + draw(small) * step, y1 + draw(small) * step
+    else:
+        x2, y2 = draw(coords), draw(coords)
+    return precision, (x1, y1), (x2, y2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dyadic_pairs())
+def test_dyadic_eq_is_congruence_mod_m_power(case):
+    precision, (x1, y1), (x2, y2) = case
+    want = exact_m_valuation(GaussInt(x1 - x2, y1 - y2)) >= precision
+    assert (Dyadic(x1, y1, precision) == Dyadic(x2, y2, precision)) == want

@@ -188,10 +188,65 @@ def test_admissibility():
     assert not is_admissible(CongruencePair(0, 5, 0, 5))  # 25 divides
 
 
+def brute_violation(pair):
+    """First lift (a1, c1) mod q = lcm(q1, q2), a1 outer and c1 inner, with
+    gcd(a1^2 + c1^4, q) > 1, by walking every lift."""
+    q = math.lcm(pair.q1, pair.q2)
+    for a1 in range(pair.a0, q, pair.q1):
+        for c1 in range(pair.c0, q, pair.q2):
+            if math.gcd(a1 * a1 + c1**4, q) != 1:
+                return a1, c1, q
+    return None
+
+
+@st.composite
+def pairs_up_to_60(draw):
+    q1 = draw(st.integers(min_value=1, max_value=60))
+    q2 = draw(st.integers(min_value=1, max_value=60))
+    a0 = draw(st.integers(min_value=0, max_value=q1 - 1))
+    c0 = draw(st.integers(min_value=0, max_value=q2 - 1))
+    return CongruencePair(a0, q1, c0, q2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs_up_to_60())
+def test_admissibility_matches_walk_of_every_lift(pair):
+    violation = brute_violation(pair)
+    assert is_admissible(pair) == (violation is None)
+    if violation is None:
+        assert density_constant(pair) > 0
+    else:
+        a1, c1, q = violation
+        want = (f"pair is not admissible: {a1}^2 + {c1}^4 = "
+                f"{(a1 * a1 + c1**4) % q} mod {q} is not invertible")
+        with pytest.raises(Refusal) as err:
+            density_constant(pair)
+        assert str(err.value) == want
+
+
+def test_admissibility_of_the_largest_moduli_returns():
+    # q = lcm(9933, 8303) = 3 * 7 * 11 * 43 * 19^2 * 23 has about 8.2 * 10^7
+    # lifts; the check goes prime by prime
+    pair = CongruencePair(1, 9933, 1, 8303)
+    want = Fraction(1, 9933 * 8303)
+    for ell in (3, 7, 11, 43, 19, 23):
+        want /= 1 - g_value(ell)
+    assert density_constant(pair) == want
+
+
+def test_kappa_against_quadrature():
+    from scipy.integrate import quad  # the oracle; the package needs no scipy
+
+    value, err = quad(lambda t: math.sqrt(1.0 - t**4), 0.0, 1.0,
+                      epsabs=1e-12, epsrel=1e-12)
+    assert err < 1e-10
+    assert abs(kappa() - value) <= 4 * math.ulp(value)
+
+
 def test_kappa_against_gamma_closed_form():
     # Beta-integral evaluation of int_0^1 (1-t^4)^(1/2) dt
     closed = math.gamma(0.25) * math.gamma(1.5) / (4 * math.gamma(1.75))
-    assert abs(kappa() - closed) < 1e-10
+    assert abs(kappa() - closed) <= 4 * math.ulp(closed)
     assert abs(kappa() - 0.874) < 5e-4
 
 
