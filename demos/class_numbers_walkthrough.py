@@ -39,9 +39,9 @@ print(f"t * t == e: {compose(t, t) == e}")
 # and 8 | h by three separate routes that must agree
 chain = divisibility_chain(p)
 print(f"2 | h: {chain.div2}   4 | h: {chain.div4}")
-print(f"8 | h by form count:      {chain.div8_forms}")
-print(f"8 | h by 2-adic residue:  {chain.div8_2adic}")
-print(f"8 | h by x^2 + 32 y^2:    {chain.div8_decomp}")
+print(f"8 | h by x^2 + 32 y^2:         {chain.div8_forms}")
+print(f"8 | h by (1 + i | p) residue:  {chain.div8_2adic}")
+print(f"8 | h by a + b = +-1 mod 8:    {chain.div8_decomp}")
 
 print()
 print("the same chain across the first primes p = 1 mod 8:")

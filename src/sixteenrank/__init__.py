@@ -58,24 +58,11 @@ from .sievecounts import (
     density_constant,
     expected_main_term,
     g_value,
-    is_admissible,
     kappa,
     represented_primes,
 )
 
 __version__ = "0.1.0"
-
-_CLI_NAMES = ("cmd_density", "cmd_unit", "cmd_verify_sixteen", "main")
-
-
-def __getattr__(name):
-    # the cli names resolve on first use (PEP 562): importing cli here would
-    # put it in sys.modules before `python -m sixteenrank.cli` runs it
-    if name in _CLI_NAMES:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ClassCount",
@@ -95,9 +82,6 @@ __all__ = [
     "canonical_pairs",
     "class_number_dirichlet",
     "class_number_enum",
-    "cmd_density",
-    "cmd_unit",
-    "cmd_verify_sixteen",
     "compose",
     "congruent",
     "count_primes",
@@ -109,12 +93,10 @@ __all__ = [
     "fundamental_unit",
     "g_value",
     "hensel_sqrt",
-    "is_admissible",
     "is_prime",
     "is_square_unit",
     "kappa",
     "m_valuation",
-    "main",
     "normalize_pi",
     "omega0",
     "one_plus_i_is_square",

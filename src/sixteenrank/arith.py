@@ -108,7 +108,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 def odd_prime_flags(limit: int) -> np.ndarray:
     """flags[i] == 1 iff 2*i + 1 is prime, covering odd n <= limit.
 
-    Treat the returned array as read-only; it is shared through the cache.
+    The returned array is read-only: the cache shares it with every caller.
     """
     if limit < 1:
         raise Refusal("sieve limit must be >= 1")
@@ -117,6 +117,7 @@ def odd_prime_flags(limit: int) -> np.ndarray:
     for q in range(3, math.isqrt(limit) + 1, 2):
         if flags[q // 2]:
             flags[q * q // 2 :: q] = 0
+    flags.flags.writeable = False
     return flags
 
 

@@ -90,10 +90,6 @@ def _verify_row(item: tuple[int, int, int]) -> VerifyRow:
     )
 
 
-def _verify_chunk(chunk: list[tuple[int, int, int]]) -> list[VerifyRow]:
-    return [_verify_row(item) for item in chunk]
-
-
 def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
     """Run the three-route 16-rank comparison over the family up to limit."""
     if limit > VERIFY_BUDGET:
@@ -108,9 +104,8 @@ def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
     witnesses = form_witnesses(limit)
     if threads > 1 and len(witnesses) > 1:
         size = max(1, len(witnesses) // (4 * threads))
-        chunks = [witnesses[i : i + size] for i in range(0, len(witnesses), size)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = [row for part in pool.map(_verify_chunk, chunks) for row in part]
+            rows = list(pool.map(_verify_row, witnesses, chunksize=size))
     else:
         rows = [_verify_row(item) for item in witnesses]
     tallies = {case.value: 0 for case in RankCase}
@@ -122,13 +117,6 @@ def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
         tallies=tallies,
         all_agree=all(row.agree for row in rows),
     )
-
-
-def cmd_density(limit: int, pair: CongruencePair | None = None,
-                mode: str = "lattice") -> CountReport:
-    """Count report over one pair, or the 16 canonical classes."""
-    pairs = None if pair is None else [pair]
-    return count_report(limit, pairs=pairs, ratio_mode=mode)
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,8 @@ def main(argv=None) -> int:
             report = cmd_verify_sixteen(args.limit, threads=args.threads)
             text = render_verify(report, args.format)
         elif args.command == "density":
-            report = cmd_density(args.limit, pair=_parse_pair(args), mode=args.mode)
+            pair = _parse_pair(args)
+            report = count_report(args.limit, None if pair is None else [pair], args.mode)
             text = render_density(report, args.format)
         else:
             report = cmd_unit(args.p)

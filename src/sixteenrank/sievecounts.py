@@ -75,11 +75,6 @@ def canonical_pairs() -> tuple[CongruencePair, ...]:
     )
 
 
-def is_admissible(pair: CongruencePair) -> bool:
-    """Whether a^2 + c^4 is a unit mod q = lcm(q1, q2) for every lift."""
-    return _find_violation(pair) is None
-
-
 def _prime_divisors(q: int) -> list[int]:
     # the primes dividing q >= 1, by trial division
     out = []
@@ -268,28 +263,18 @@ def kappa() -> float:
     return 0.8740191847640403
 
 
-def _chi4(n: int) -> int:
-    if n % 2 == 0:
-        return 0
-    return 1 if n % 4 == 1 else -1
+def g_value(p: int) -> Fraction:
+    """The local density g(p) at a prime p, exact.
 
-
-def g_value(p: int, j: int = 1) -> Fraction:
-    """The local density g(p^j), exact.
-
-    g(2) = 1/2, g(4) = 1/4; for odd p:
-    g(p) p = 1 + chi4(p)(1 - 1/p)  and  g(p^2) p^2 = 1 + (1 + chi4(p))(1 - 1/p).
+    g(2) = 1/2; for odd p, g(p) p = 1 + chi4(p)(1 - 1/p), where chi4 is
+    the character mod 4.
     """
-    if j >= 3:
-        raise Refusal("g is supported on cubefree arguments (j <= 2)")
-    if j < 1 or not is_prime(p):
-        raise Refusal(f"need a prime power p^j with j in {{1, 2}}, got {p}^{j}")
+    if not is_prime(p):
+        raise Refusal(f"need a prime, got {p}")
     if p == 2:
-        return Fraction(1, 2) if j == 1 else Fraction(1, 4)
-    chi = _chi4(p)
-    if j == 1:
-        return (1 + chi * (1 - Fraction(1, p))) / p
-    return (1 + (1 + chi) * (1 - Fraction(1, p))) / p**2
+        return Fraction(1, 2)
+    chi = 1 if p % 4 == 1 else -1
+    return (1 + chi * (1 - Fraction(1, p))) / p
 
 
 def density_constant(pair: CongruencePair) -> Fraction:
@@ -304,7 +289,7 @@ def density_constant(pair: CongruencePair) -> Fraction:
     q = math.lcm(pair.q1, pair.q2)
     out = Fraction(1, pair.q1 * pair.q2)
     for ell in _prime_divisors(q):
-        out /= 1 - g_value(ell, 1)
+        out /= 1 - g_value(ell)
     return out
 
 

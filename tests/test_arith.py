@@ -136,6 +136,8 @@ def test_odd_prime_flags_indexing():
     flags = odd_prime_flags(10**4)
     for n in range(1, 10**4, 2):
         assert bool(flags[n // 2]) == trial_division_prime(n), n
+    with pytest.raises(ValueError):
+        flags[0] = 1  # shared through the cache, so read-only
 
 
 def test_one_sieve_every_small_limit():

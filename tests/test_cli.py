@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, schemas, byte-stable output."""
 
+import ast
 import json
 import os
 import subprocess
@@ -377,12 +378,11 @@ def test_density_refuses_tiny_limit(capsys):
 def test_density_library_layer_allows_tiny_x():
     # the >= 3 floor guards the command surface; the library itself
     # answers X = 2 with empty counts
-    from sixteenrank import CongruencePair
-    from sixteenrank.cli import cmd_density
+    from sixteenrank import CongruencePair, count_report
 
-    rows = cmd_density(2).rows
+    rows = count_report(2).rows
     assert all(r.lattice_count == 0 and r.distinct_count == 0 for r in rows)
-    row = cmd_density(41, pair=CongruencePair(5, 16, 2, 4)).rows[0]
+    row = count_report(41, [CongruencePair(5, 16, 2, 4)]).rows[0]
     assert row.lattice_count == 2  # (5, 2) and (5, -2) give 41 itself
 
 
@@ -495,3 +495,20 @@ def test_all_exports_resolve():
         assert hasattr(sixteenrank, name), name
     proc = run_python("-c", "from sixteenrank import *")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_export_has_a_caller_outside_its_tests():
+    # a public name must be read by the package itself, a demo, or the
+    # acceptance criteria; a name only its own unit test reads is dead
+    root = Path(__file__).resolve().parents[1]
+    src = Path(sixteenrank.__file__).parent
+    files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
+    files += [*(root / "demos").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    loaded = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert [name for name in sixteenrank.__all__ if name not in loaded] == []

@@ -18,7 +18,6 @@ from sixteenrank import (
     density_constant,
     expected_main_term,
     g_value,
-    is_admissible,
     is_prime,
     kappa,
     represented_primes,
@@ -26,6 +25,10 @@ from sixteenrank import (
 from sixteenrank import sievecounts
 from sixteenrank.cli import form_witnesses, render_density
 from sixteenrank.sievecounts import TRIVIAL_PAIR
+
+
+def is_admissible(pair):
+    return sievecounts._find_violation(pair) is None
 
 
 def brute_counts(x, pair):
@@ -252,15 +255,10 @@ def test_kappa_against_gamma_closed_form():
 
 def test_g_values_by_hand():
     assert g_value(2) == Fraction(1, 2)
-    assert g_value(2, 2) == Fraction(1, 4)
     assert g_value(3) == Fraction(1, 9)  # (1 - 2/3)/3
     assert g_value(5) == Fraction(9, 25)  # (1 + 4/5)/5
     assert g_value(7) == Fraction(1, 49)
     assert g_value(13) == Fraction(25, 169)
-    assert g_value(3, 2) == Fraction(1, 9)  # (1 + 0)/9
-    assert g_value(5, 2) == Fraction(13, 125)  # (1 + 2*(4/5))/25
-    with pytest.raises(Refusal):
-        g_value(2, 3)
     with pytest.raises(Refusal):
         g_value(6)
 
