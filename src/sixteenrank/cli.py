@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .arith import decompose_two_squares
@@ -98,11 +97,19 @@ def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
         )
     if threads < 1:
         raise Refusal(f"--threads must be >= 1, got {threads}")
-    cores = os.cpu_count() or 1
+    # the CPUs this process may run on, which taskset or a container can
+    # restrict below the machine's count
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
     if threads > cores:
         raise Refusal(f"--threads is capped at the {cores} CPUs of this machine, got {threads}")
     witnesses = form_witnesses(limit)
     if threads > 1 and len(witnesses) > 1:
+        # imported here: it loads multiprocessing, which only a pool needs
+        from concurrent.futures import ProcessPoolExecutor
+
         size = max(1, len(witnesses) // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_verify_row, witnesses, chunksize=size))

@@ -21,13 +21,19 @@ verify sweep's witnesses (cli.form_witnesses) all read its rows.  Each
 row of fixed c strikes the a with a^2 + c^4 divisible by a prime q up to
 a bound: a = 0 mod q when q | c, a odd when q = 2 and c is odd,
 a = +-r_q c^2 mod q with r_q^2 = -1 when q = 1 mod 4, and a whole row or
-none of it when q | q1.  Up to X = _SIEVE_LIMIT the bound is sqrt(X), so
+none of it when q | q1, as the row's a all lie in one class mod q.  The
+primes, the signed roots +-r_q and q1^-1 mod q do not depend on c, so each
+prime_rows call builds them once; a row then finds the first index of
+every root in a few array operations.  A prime q no less than the row's
+length strikes it at most once, at that index; only the smaller primes
+walk their progressions.  Up to X = _SIEVE_LIMIT the bound is sqrt(X), so
 a survivor above it is prime, and the values up to sqrt(X), which a
 prime q = n strikes from its own row, are read from the odd-only sieve
 of arith up to sqrt(X).  Above _SIEVE_LIMIT only the primes below
 _STRIKE_BOUND strike, and deterministic Miller-Rabin decides the
-survivors.  In both paths the rows c and -c hold the same a, so a class
-that holds both walks the row once.
+survivors.  A row with c^4 above the bound holds no value up to it.  In
+both paths the rows c and -c hold the same a, so a class that holds both
+walks the row once.
 """
 
 from __future__ import annotations
@@ -129,14 +135,20 @@ def _progression(lo: int, hi: int, r: int, q: int) -> np.ndarray:
 
 
 class _Strike(NamedTuple):
-    """The primes q <= bound that strike a row, and what each needs."""
+    """The primes q <= bound that strike a row, and what each needs.  No
+    field depends on c, so one table serves every row of a class."""
 
     bound: int
     flags: np.ndarray  # arith.odd_prime_flags(bound)
-    q: np.ndarray
-    r: np.ndarray  # r^2 = -1 mod q; 1 for q = 2, 0 (no root) for q = 3 mod 4
-    inv: np.ndarray  # q1^-1 mod q where q does not divide q1
-    whole: np.ndarray  # q | q1: every a of a row lies in one class mod q
+    whole: int  # the product of the q | q1; a row lies in one class mod each
+    # the q = 2 and q = 1 mod 4 that do not divide q1, each listed twice:
+    # q, the signed root +r then -r of r^2 = -1 mod q, and q1^-1 mod q
+    rooted_q: np.ndarray
+    rooted_r: np.ndarray
+    rooted_inv: np.ndarray
+    # the q = 3 mod 4 that do not divide q1, and q1^-1 mod q
+    rootless_q: np.ndarray
+    rootless_inv: np.ndarray
 
 
 def _strike_table(bound: int, q1: int) -> _Strike:
@@ -157,29 +169,41 @@ def _strike_table(bound: int, q1: int) -> _Strike:
         found = t * t % qt == qt - 1
         r[todo[found]] = t[found]
         todo = todo[~found]
-    return _Strike(bound, flags, q, r, _powmod(q1 % q, q - 2, q), q1 % q == 0)
+    inv = _powmod(q1 % q, q - 2, q)
+    whole = q1 % q == 0
+    rooted = (r != 0) & ~whole
+    rootless = (r == 0) & ~whole
+    return _Strike(
+        bound, flags, math.prod(q[whole].tolist()),
+        np.tile(q[rooted], 2), np.concatenate((r[rooted], -r[rooted])),
+        np.tile(inv[rooted], 2), q[rootless], inv[rootless],
+    )
 
 
 def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.ndarray:
     # mask of the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no
     # prime factor q <= strike.bound, or with n <= strike.bound
-    q = strike.q
-    cq = c % q
-    # the roots of a^2 = -c^4 mod q are +-s; q = 3 mod 4 has none unless q | c
-    s = strike.r * (cq * cq % q) % q
-    rooted = (strike.r != 0) | (cq == 0)
     keep = np.ones(n.size, dtype=bool)
-    row = rooted & strike.whole
-    if np.any(((start - s[row]) % q[row] == 0) | ((start + s[row]) % q[row] == 0)):
+    # a row lies in one class mod each q | q1: q strikes all of it, when
+    # q | start^2 + c^4, or none of it
+    if math.gcd(start * start + c**4, strike.whole) > 1:
         keep[:] = False
     else:
-        sel = rooted & ~strike.whole
-        qs = np.concatenate((q[sel], q[sel]))
-        # first index k0 of each root in the row: start + k0 q1 = root mod q
-        k0 = np.concatenate((s[sel], -s[sel])) - start
-        k0 = k0 % qs * np.concatenate((strike.inv[sel], strike.inv[sel])) % qs
-        live = k0 < n.size
-        k0, qs = k0[live], qs[live]
+        # the roots of a^2 = -c^4 mod q are +-r c^2; a q = 3 mod 4 has only
+        # the root 0, when q | c.  k0 is a root's first index in the row:
+        # start + k0 q1 = root mod q
+        qr = strike.rooted_q
+        zero = c % strike.rootless_q == 0
+        qz = strike.rootless_q[zero]
+        qs = np.concatenate((qr, qz))
+        k0 = np.concatenate((
+            (strike.rooted_r * (c * c % qr) - start) % qr * strike.rooted_inv % qr,
+            -start % qz * strike.rootless_inv[zero] % qz,
+        ))
+        # a q no less than the row's length strikes it at most once
+        once = qs >= n.size
+        keep[k0[once & (k0 < n.size)]] = False
+        k0, qs = k0[~once], qs[~once]
         for _, struck in _runs(k0, qs, (n.size - 1 - k0) // qs + 1):
             keep[struck] = False
     keep |= n <= strike.bound
@@ -209,12 +233,13 @@ def prime_rows(x: int, pair: CongruencePair):
             # a survivor may have a prime factor between the bound and sqrt(x)
             test = prime & (n > strike.bound)
             prime[test] = [is_prime(v) for v in n[test].tolist()]
-        # the values up to the bound survive the strike; the sieve decides them
-        small = np.flatnonzero(n <= strike.bound)
-        v = n[small]
-        prime[small] = v == 2
-        odd = v & 1 == 1
-        prime[small[odd]] = strike.flags[v[odd] >> 1]
+        if c4 <= strike.bound:
+            # the values up to the bound survive the strike; the sieve decides them
+            small = np.flatnonzero(n <= strike.bound)
+            v = n[small]
+            prime[small] = v == 2
+            odd = v & 1 == 1
+            prime[small[odd]] = strike.flags[v[odd] >> 1]
         a = a[prime]
         yield c, a
         if symmetric and c:

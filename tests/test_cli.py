@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, schemas, byte-stable output."""
 
 import ast
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sixteenrank
-from sixteenrank import cli, sievecounts
+from sixteenrank import sievecounts
 from sixteenrank.cli import (
     cmd_unit,
     cmd_verify_sixteen,
@@ -295,16 +296,36 @@ def test_out_flag_reports_unwritable_path(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_threads_above_cpu_count_refused(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was created")
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was created")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    cores = os.cpu_count() or 1
+
+def test_threads_above_cpu_count_refused(capsys, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     code, out, err = run(capsys, ["verify", "--limit", "200", "--threads", str(cores + 1)])
     assert code == 3
     assert out == ""
     assert f"capped at the {cores} CPUs" in err
+
+
+def test_threads_capped_at_the_cpus_this_process_may_use(capsys, monkeypatch):
+    # taskset or a container may allow fewer CPUs than the machine has; where
+    # the platform cannot tell, the machine's count is the cap
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, out, err = run(capsys, ["verify", "--limit", "200", "--threads", "2"])
+    assert code == 3 and out == ""
+    assert "capped at the 1 CPUs" in err
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, out, err = run(capsys, ["verify", "--limit", "200", "--threads", "2"])
+    assert code == 3 and out == ""
+    assert "capped at the 1 CPUs" in err
 
 
 def test_verify_budget_refusal(capsys):
@@ -463,11 +484,15 @@ def run_python(*args):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # nor the process pool's modules, which only verify --threads N > 1 needs
     proc = run_python(
-        "-c", "import sys, sixteenrank.cli; print('scipy' in sys.modules)"
+        "-c",
+        "import sys, sixteenrank.cli\n"
+        "print([m in sys.modules for m in "
+        "('scipy', 'multiprocessing', 'concurrent.futures.process')])",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False, False]\n"
 
 
 def test_density_leaves_scipy_unloaded():

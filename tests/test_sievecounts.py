@@ -126,12 +126,24 @@ def test_form_witnesses_match_brute_force(monkeypatch, sieve_limit):
         assert form_witnesses(limit) == brute_witnesses(limit), limit
 
 
-@pytest.mark.parametrize("q1", [1, 2, 15, 16])
-@pytest.mark.parametrize("c", [0, 1, 2, 3, 5, 6, 10, 26, 65, 210])
-def test_strike_marks_exactly_small_factors(q1, c):
+# rows (c, q1, a) of the strike tests: a from -700 to 700 under each q1, and
+# short rows (q1 = 1) of length q and q + 1 that start at a root of a prime
+# q, so that q strikes them once, or twice (at index 0 and index q); the
+# value at index q has no other prime factor that strikes
+STRIKE_ROWS = [
+    pytest.param(c, q1, np.arange(-700, 701, q1, dtype=np.int64), id=f"{c}-{q1}")
+    for q1 in (1, 2, 15, 16) for c in (0, 1, 2, 3, 5, 6, 10, 26, 65, 210)
+] + [
+    pytest.param(c, 1, np.arange(start, start + size, dtype=np.int64),
+                 id=f"{c}-1-q{q}-len{size}")
+    for q, c, start in ((13, 2, 136), (7, 7, 259)) for size in (q, q + 1)
+]
+
+
+@pytest.mark.parametrize("c, q1, a", STRIKE_ROWS)
+def test_strike_marks_exactly_small_factors(c, q1, a):
     # a survivor is an n <= _STRIKE_BOUND or an n with no prime factor below
     # it: per prime q, exactly the rho(c^2, q) roots of a^2 = -c^4 mod q go
-    a = np.arange(-700, 701, q1, dtype=np.int64)
     n = a * a + c**4
     small_factor = np.zeros(n.size, dtype=bool)
     for q in range(2, sievecounts._STRIKE_BOUND):
@@ -143,12 +155,10 @@ def test_strike_marks_exactly_small_factors(q1, c):
     assert got.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("q1", [1, 2, 15, 16])
-@pytest.mark.parametrize("c", [0, 1, 2, 3, 5, 6, 10, 26, 65, 210])
-def test_strike_at_full_bound_leaves_exactly_primes(q1, c):
+@pytest.mark.parametrize("c, q1, a", STRIKE_ROWS)
+def test_strike_at_full_bound_leaves_exactly_primes(c, q1, a):
     # struck by every prime q <= isqrt(max n), a survivor n is prime or
     # n <= isqrt(max n), where n == q strikes itself
-    a = np.arange(-700, 701, q1, dtype=np.int64)
     n = a * a + c**4
     bound = math.isqrt(int(n.max()))
     want = np.array([is_prime(v) for v in n.tolist()]) | (n <= bound)
