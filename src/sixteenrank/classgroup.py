@@ -13,8 +13,8 @@ Two independent routes to h(-4p) for primes p = 1 mod 4:
 
 They share nothing but the discriminant convention (always -4p, the
 fundamental discriminant for p = 1 mod 4), so agreement is meaningful.
-Gauss composition of forms is implemented through ideal multiplication
-and a Hermite normal form of the product module.
+Gauss composition of primitive forms is Shanks' formula on the
+coefficients, followed by reduction.
 """
 
 from __future__ import annotations
@@ -61,21 +61,16 @@ class QForm:
             and (self.b >= 0 or self.a != self.c)
         )
 
-    def normalized(self) -> "QForm":
-        r = (self.a - self.b) // (2 * self.a)
-        return QForm(
-            self.a,
-            self.b + 2 * r * self.a,
-            self.a * r * r + self.b * r + self.c,
-        )
-
     def reduced(self) -> "QForm":
-        f = self.normalized()
-        while f.a > f.c or (f.a == f.c and f.b < 0):
-            s = (f.c + f.b) // (2 * f.c)
-            f = QForm(f.c, -f.b + 2 * s * f.c, f.c * s * s - f.b * s + f.a)
-            f = f.normalized()
-        return f
+        # Cohen, GTM 138, Alg. 5.4.2: shear b into (-a, a], then swap
+        # a and c until a <= c
+        a, b, c = self.a, self.b, self.c
+        while True:
+            r = (a - b) // (2 * a)
+            b, c = b + 2 * r * a, a * r * r + b * r + c
+            if a < c or (a == c and b >= 0):
+                return QForm(a, b, c)
+            a, b, c = c, -b, a
 
     def inverse(self) -> "QForm":
         return QForm(self.a, -self.b, self.c).reduced()
@@ -188,27 +183,15 @@ def class_number_dirichlet(p: int) -> int:
     return abs(total) // d
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, u, v) with u*a + v*b = g >= 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def compose(f: QForm, g: QForm) -> QForm:
-    """Gauss composition, returned as the reduced representative.
+    """Gauss composition of primitive forms, returned reduced.
 
-    The forms are mapped to ideals [a, -b/2 + w] of Z[w], w = sqrt(-p),
-    the product module is put in Hermite normal form, the content is
-    split off, and the primitive ideal is mapped back to a form.
+    Shanks' formula (Cohen, GTM 138, Alg. 5.4.7): with s = (b1 + b2)/2,
+    d1 = gcd(a1, a2, s) and the Bezout steps y1 a2 = gcd(a1, a2) mod a1
+    and x2 s = d1 mod gcd(a1, a2), the product is the form with leading
+    coefficient a1 a2 / d1^2 and b = b2 (mod 2 a2 / d1).  The formula
+    holds for primitive forms only, so a form with gcd(a, b, c) > 1 is
+    refused; every form of discriminant -4p, p prime, is primitive.
     """
     if f.disc != g.disc:
         raise Refusal(f"discriminants differ: {f.disc} != {g.disc}")
@@ -217,32 +200,18 @@ def compose(f: QForm, g: QForm) -> QForm:
         raise Refusal(f"need a negative discriminant divisible by 4, got {d}")
     if f.a <= 0 or g.a <= 0:
         raise Refusal("forms must be positive definite")
-    p = -d // 4
-    t1, t2 = -f.b // 2, -g.b // 2
-    # generators of the product module, as x + y*w pairs
-    gens = [
-        (f.a * g.a, 0),
-        (f.a * t2, f.a),
-        (g.a * t1, g.a),
-        (t1 * t2 - p, t1 + t2),
-    ]
-    # HNF: fold the w-coefficients to their gcd, eliminate, gcd the rest
-    tx, cy = 0, 0
-    for x, y in gens:
-        if y:
-            g_, u, v = _xgcd(cy, y)
-            tx, cy = u * tx + v * x, g_
-    aa = 0
-    for x, y in gens:
-        aa = math.gcd(aa, x - (y // cy) * tx)
-    assert aa > 0 and aa * cy == f.a * g.a
-    # an ideal's HNF content divides both basis entries
-    assert aa % cy == 0 and tx % cy == 0
-    a3 = aa // cy
-    t3 = (tx // cy) % a3
-    num = t3 * t3 + p
-    assert num % a3 == 0
-    return QForm(a3, -2 * t3, num // a3).reduced()
+    if math.gcd(f.a, f.b, f.c) > 1 or math.gcd(g.a, g.b, g.c) > 1:
+        raise Refusal(f"forms must be primitive, got {f} and {g}")
+    s = (f.b + g.b) // 2
+    e = math.gcd(f.a, g.a)
+    y1 = pow(g.a // e, -1, f.a // e)
+    d1 = math.gcd(s, e)
+    x2 = pow(s // d1, -1, e // d1)
+    y2 = (x2 * s - d1) // e
+    v1, v2 = f.a // d1, g.a // d1
+    r = (y1 * y2 * (g.b - s) - x2 * g.c) % v1
+    c3 = (g.c * d1 + r * (g.b + v2 * r)) // v1
+    return QForm(v1 * v2, g.b + 2 * v2 * r, c3).reduced()
 
 
 @dataclass(frozen=True)

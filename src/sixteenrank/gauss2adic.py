@@ -25,7 +25,21 @@ imaginary quadratic field of discriminant -4p satisfies 8 | h, and
 
 where sqrt(pi) is the root that is = 1 mod M^3.  The same verdict is
 forced by congruences on (a mod 16, c mod 4) alone; sixteen_rank_case
-tabulates them and the two routes are cross-checked in the test suite.
+tabulates them.
+
+Why a finite check proves the two routes agree.  The square test reads
+omega0 mod M^5 only.  Write c = 2c'; then c(1 + i) = -i c' m^3, fixed
+mod M^5 by c' mod 2, i.e. by c mod 4.  Squaring maps 1 + M^k onto
+1 + M^(k+2), so sqrt(pi) mod M^5 is fixed by pi mod M^7; that is why
+sixteen_divides lifts to precision 7 (at 6 the root is known only mod
+M^4).  At precision 7 the coordinates are kept mod 16, and those of pi
+are s*a and s*c^2 mod 16, with the sign s fixed by a + c^2 mod 8 and
+c^2 mod 16 by c mod 4.  So the 2-adic verdict is a function of
+(a mod 16, c mod 4), and checking it against the table on one witness
+per residue pair covers every prime.  The witnesses have a = 1 mod 4
+and c > 0, as decompose_two_squares builds them; this loses nothing,
+since the table is invariant under a -> -a and c -> -c, and
+{1, 5, 9, 13} with its negatives is every odd residue mod 16.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Class numbers and composition, checked against direct enumeration."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -132,6 +133,8 @@ def test_reduction_lands_in_reduced_set():
             assert r.is_reduced
             assert (r.a, r.b, r.c) in reduced
             assert (r.a, r.b, r.c) == (f.a, f.b, f.c)
+    # a = c needs b >= 0, a case no discriminant -4p with p > 3 prime reaches
+    assert QForm(3, -2, 3).reduced() == QForm(3, 2, 3)
 
 
 def test_principal_and_two_torsion_forms():
@@ -145,33 +148,82 @@ def test_principal_and_two_torsion_forms():
         assert compose(e, t) == t
 
 
-def test_composition_group_structure():
-    # discriminant -164: the eight reduced classes form an abelian group
-    p = 41
+@pytest.mark.parametrize("p, h", [(5, 2), (17, 4), (41, 8), (113, 8), (257, 16), (1049, 44)])
+def test_composition_group_structure(p, h):
+    # the reduced classes of discriminant -4p form an abelian group of
+    # order h, closed under composition
     forms = brute_reduced_forms(p)
-    assert len(forms) == 8
+    assert len(forms) == h == class_number_enum(p).h
     e = principal_form(p)
     key = lambda f: (f.a, f.b, f.c)
-    table = {}
+    classes = {key(x) for x in forms}
     for f in forms:
         row = []
         for g in forms:
             fg = compose(f, g)
             assert fg.is_reduced
-            assert key(fg) in {key(x) for x in forms}
             assert key(fg) == key(compose(g, f))
             row.append(key(fg))
         # cancellation: each row is a permutation of the classes
-        assert len(set(row)) == 8
-        table[key(f)] = row
+        assert set(row) == classes
     for f in forms:
         assert key(compose(f, e)) == key(f)
         assert key(compose(f, f.inverse())) == key(e)
-    # spot associativity
-    import itertools
+    rng = random.Random(p)
+    for _ in range(200):
+        f, g, k = (rng.choice(forms) for _ in range(3))
+        assert key(compose(compose(f, g), k)) == key(compose(f, compose(g, k)))
 
-    for f, g, h in itertools.islice(itertools.product(forms, repeat=3), 0, 512, 7):
-        assert key(compose(compose(f, g), h)) == key(compose(f, compose(g, h)))
+
+def prime_form(p, q0, sign):
+    """(q, 2x, (x^2 + p)/q) for the least prime q >= q0 with x^2 = -p mod q."""
+    q = q0
+    while True:
+        if is_prime(q):
+            x = next((x for x in range(q) if (x * x + p) % q == 0), None)
+            if x is not None:
+                return QForm(q, 2 * sign * x, (x * x + p) // q)
+        q += 1
+
+
+def form_power(f, n, p):
+    """f^n by square-and-multiply."""
+    acc = principal_form(p)
+    while n:
+        if n & 1:
+            acc = compose(acc, f)
+        f = compose(f, f)
+        n >>= 1
+    return acc
+
+
+q_starts = st.integers(min_value=2, max_value=400)
+signs = st.sampled_from((1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**15 - 10**4).map(next_prime_1_mod_4),
+    st.lists(st.tuples(q_starts, signs), min_size=3, max_size=3),
+)
+def test_composition_group_laws_on_prime_forms(p, starts):
+    f, g, k = (prime_form(p, q0, sign) for q0, sign in starts)
+    e = principal_form(p)
+    for x in (f, g, k):
+        assert x.disc == -4 * p
+    fg = compose(f, g)
+    assert fg.is_reduced and fg.disc == -4 * p
+    assert compose(f, e) == f.reduced()
+    assert compose(f, f.inverse()) == e
+    assert fg == compose(g, f)
+    assert compose(fg, k) == compose(f, compose(g, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=10**6 - 10**3).map(next_prime_1_mod_4), q_starts, signs)
+def test_prime_form_order_divides_class_number(p, q0, sign):
+    f = prime_form(p, q0, sign)
+    assert form_power(f, class_number_enum(p).h, p) == principal_form(p)
 
 
 def test_composition_finds_order_eight_generator():
@@ -197,6 +249,10 @@ def test_compose_refusals():
         compose(principal_form(5), principal_form(13))
     with pytest.raises(Refusal):
         compose(QForm(1, 1, 1), QForm(1, 1, 1))  # odd discriminant
+    with pytest.raises(Refusal, match="primitive"):
+        compose(QForm(2, 2, 2), QForm(2, 2, 2))  # disc -12, content 2
+    with pytest.raises(Refusal, match="primitive"):
+        compose(principal_form(3), QForm(2, 2, 2))
 
 
 def test_divisibility_chain_routes_agree_with_class_number():

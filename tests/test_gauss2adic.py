@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sixteenrank import (
     Dyadic,
     GaussInt,
+    PrimeWitness,
     RankCase,
     Refusal,
     congruent,
@@ -238,6 +239,31 @@ def test_rank_case_table():
                 assert got is RankCase.NOT8
             # NOT8 iff a + c^2 is not +-1 mod 8
             assert (got is RankCase.NOT8) == ((a0 + c0 * c0) % 8 not in (1, 7))
+
+
+def two_adic_verdict(w, precision):
+    """sixteen_divides(w) with the square root lifted to the given precision."""
+    return is_square_unit(omega0(w, hensel_sqrt(normalize_pi(w), precision)))
+
+
+def test_two_adic_route_matches_congruence_table_on_every_residue():
+    # every witness shape with 8 | h: a = 1 mod 4 in (-256, 256), c even in
+    # [2, 128], a + c^2 = +-1 mod 8; p need not be prime.  At precision 7
+    # the verdict reads only (a mod 16, c mod 4) (see the gauss2adic
+    # docstring), so agreement here is agreement on every prime
+    witnesses = [
+        PrimeWitness(p=a * a + c**4, a=a, b=c * c, c=c)
+        for a in range(-255, 256, 4)
+        for c in range(2, 129, 2)
+        if (a + c * c) % 8 in (1, 7)
+    ]
+    assert len(witnesses) == 4096
+    table = [sixteen_rank_case(w.a, w.c) is RankCase.DIV16 for w in witnesses]
+    assert sum(table) == 2048
+    assert [sixteen_divides(w) for w in witnesses] == table
+    # one digit less leaves sqrt(pi) unknown mod M^5, and half the verdicts flip
+    at6 = [two_adic_verdict(w, 6) for w in witnesses]
+    assert sum(x != y for x, y in zip(at6, table)) == 2048
 
 
 def test_rank_case_invariances():
