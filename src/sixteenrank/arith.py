@@ -86,9 +86,14 @@ def _runs(start: np.ndarray, step: np.ndarray, count: np.ndarray):
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
     for e0 in range(0, total, _BLOCK):
-        e = np.arange(e0, min(e0 + _BLOCK, total))
-        i = np.searchsorted(ends, e, side="right")
-        yield i, start[i] + step[i] * (e - ends[i] + count[i])
+        e1 = min(e0 + _BLOCK, total)
+        # the runs r0 <= r < r1 meet the block [e0, e1), each in
+        # min(end, e1) - max(begin, e0) >= 0 entries
+        r0 = int(np.searchsorted(ends, e0, side="right"))
+        r1 = int(np.searchsorted(ends, e1 - 1, side="right")) + 1
+        end = ends[r0:r1]
+        i = np.repeat(np.arange(r0, r1), np.minimum(end, e1) - np.maximum(end - count[r0:r1], e0))
+        yield i, start[i] + step[i] * (np.arange(e0, e1) - ends[i] + count[i])
 
 
 def _v2(n: int) -> int:

@@ -6,7 +6,12 @@ Two independent routes to h(-4p) for primes p = 1 mod 4:
     (A, B, C) of discriminant -4p grouped by the leading coefficient A.
     For A < sqrt(p) there are rho(A) of them, rho(A) being the number
     of roots of x^2 = -p (mod A): a multiplicative function read off
-    the Legendre symbols (-p | q) of the odd primes q.  For
+    the Legendre symbols (-p | q) of the odd primes q.  What rho needs
+    besides those symbols does not depend on p, and is built once per
+    power-of-two bound on A: the odd primes, the pairs (A, q) with q | A,
+    the weights 2^omega(A), and a bit table of the squares mod each q up
+    to _RESIDUE_CUT.  A p then costs one lookup of its symbols and one
+    gather that zeroes the A with a non-split factor.  For
     sqrt(p) < A <= sqrt(4p/3) the forms are found by scanning B;
   * class_number_dirichlet evaluates the finite character-sum form of
     the analytic class number formula, h = |sum a * chi(a)| / (4p).
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +45,9 @@ from .errors import Refusal
 
 _ENUM_LIMIT = 2 * 10**9
 _DIRICHLET_LIMIT = 10**6
+# (-p | q) is read from a table of squares mod q up to this q, which covers
+# every p the command line accepts; Euler's criterion decides larger q
+_RESIDUE_CUT = 4096
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,8 @@ class QForm:
         # Cohen, GTM 138, Alg. 5.4.2: shear b into (-a, a], then swap
         # a and c until a <= c
         a, b, c = self.a, self.b, self.c
+        if a <= 0 or self.disc >= 0:
+            raise Refusal(f"only positive definite forms reduce, got {self}")
         while True:
             r = (a - b) // (2 * a)
             b, c = b + 2 * r * a, a * r * r + b * r + c
@@ -105,6 +117,9 @@ def class_number_enum(p: int) -> ClassData:
         the sum of rho(A) over A < sqrt(p), where rho is multiplicative
         with rho(2) = 1, rho(2^k) = 0 for k >= 2 (as -p = 3 mod 4), and
         rho(q^k) = 1 + (-p | q) for odd primes q, none of which divides p.
+        Each (-p | q) is a bit of a cached table of squares mod q for
+        q <= _RESIDUE_CUT, which covers every p below 12,582,912, and
+        Euler's criterion above it.
       * sqrt(p) < A <= sqrt(4p/3): here b runs over
         [ceil(sqrt(A^2 - p)), A/2] with A | p + b^2, and each such b
         gives the two forms (A, +-2b, C).  They never coincide: 2b = A
@@ -128,24 +143,73 @@ def class_number_enum(p: int) -> ClassData:
     return ClassData(p=p, h=h, v2=_v2(h))
 
 
+class _RootTable(NamedTuple):
+    """What rho needs below a bound, none of it depending on p."""
+
+    q: np.ndarray  # the odd primes <= bound
+    # the pairs (A, i) with q[i] | A <= bound, in increasing A
+    pair_a: np.ndarray
+    pair_i: np.ndarray
+    weight: np.ndarray  # 2^(number of odd primes dividing A); 0 at A = 0 and 4 | A
+    # for q[i] <= _RESIDUE_CUT, bit offset[i] + x of residues (little-endian
+    # within a byte) is set iff x is a square mod q[i]
+    residues: np.ndarray
+    offset: np.ndarray
+
+
+# the verify sweep goes through p in increasing order, so a bound's table is
+# done with once the next one is built
+@lru_cache(maxsize=1)
+def _root_table(bound: int) -> _RootTable:
+    # bound >= 3; the arrays are read-only, as the cache shares them
+    q = np.array(primes_up_to(bound)[1:], dtype=np.int64)
+    pair_i, pair_a = map(np.concatenate, zip(*_runs(q, q, bound // q)))
+    order = np.argsort(pair_a)
+    pair_a, pair_i = pair_a[order], pair_i[order]
+    weight = 1 << np.bincount(pair_a, minlength=bound + 1)
+    weight[0] = 0
+    weight[4::4] = 0
+    # each q's bits start on a byte, so that each packs by itself
+    small = q[q <= _RESIDUE_CUT]
+    width = (small + 7) & -8
+    squares = []
+    for m, w in zip(small.tolist(), width.tolist()):
+        flags = np.zeros(w, dtype=bool)
+        x = np.arange(m // 2 + 1)
+        flags[x * x % m] = True
+        squares.append(np.packbits(flags, bitorder="little"))
+    table = _RootTable(
+        q, pair_a, pair_i, weight, np.concatenate(squares), np.cumsum(width) - width
+    )
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _splits(p: int, q: np.ndarray, table: _RootTable) -> np.ndarray:
+    """(-p | q) == 1 for q a prefix of table.q not dividing p: read from the
+    residue bits up to _RESIDUE_CUT, by Euler's criterion above it."""
+    r = -p % q
+    cut = min(q.size, table.offset.size)
+    k = table.offset[:cut] + r[:cut]
+    split = (table.residues[k >> 3] >> (k & 7)) & 1 == 1
+    if cut < q.size:
+        split = np.concatenate((split, _powmod(r[cut:], q[cut:] >> 1, q[cut:]) == 1))
+    return split
+
+
 def _root_counts(p: int, n: int) -> np.ndarray:
     """rho[A] = #{x mod A : x^2 = -p (mod A)} for 1 <= A <= n < p; rho[0] = 0.
 
     rho(A) is 0 when 4 | A or an odd prime q | A has (-p | q) = -1, and
     otherwise 2 to the number of odd primes dividing A.
     """
-    # a power-of-two limit, so that primes_up_to's cache serves many p
-    q = np.array(primes_up_to(1 << n.bit_length()), dtype=np.int64)
-    q = q[(q > 2) & (q <= n)]
-    split = _powmod(-p % q, q >> 1, q) == 1  # Euler's criterion
-    # n <= sqrt(4 _ENUM_LIMIT / 3) < 3*5*7*11*13*17, so rho <= 2^5 fits int8
-    rho = np.ones(n + 1, dtype=np.int8)
-    rho[0] = 0
-    rho[4::4] = 0
-    for i, mult in _runs(q, q, n // q):
-        s = split[i]
-        np.multiply.at(rho, mult[s], np.int8(2))  # an int8 factor keeps the fast path
-        rho[mult[~s]] = 0
+    # a power-of-two bound, so that one table serves many p
+    table = _root_table(1 << n.bit_length())
+    split = _splits(p, table.q[: np.searchsorted(table.q, n, side="right")], table)
+    pairs = np.searchsorted(table.pair_a, n, side="right")
+    rho = table.weight[: n + 1].copy()
+    rho[table.pair_a[:pairs][~split[table.pair_i[:pairs]]]] = 0
     return rho
 
 

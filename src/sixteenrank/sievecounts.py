@@ -213,6 +213,7 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.
 def prime_rows(x: int, pair: CongruencePair):
     """Yield (c, a) per row of the class: a is the int64 array of the a
     with a^2 + c^4 <= x prime, in increasing order."""
+    _check_x(x)
     if x < 2:
         return
     sieve = x <= _SIEVE_LIMIT
@@ -260,7 +261,6 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
     """
     if mode not in ("lattice", "distinct"):
         raise Refusal(f"mode must be 'lattice' or 'distinct', got {mode!r}")
-    _check_x(x)
     if mode == "lattice":
         return sum(int(a.size) for _, a in prime_rows(x, pair))
     return int(represented_primes(x, pair).size)
@@ -268,7 +268,6 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
 
 def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
     """Sorted distinct primes a^2 + c^4 <= x matching the congruences."""
-    _check_x(x)
     values = [a * a + c**4 for c, a in prime_rows(x, pair)]
     if not values:
         return np.array([], dtype=np.int64)

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixteenrank import (
@@ -16,7 +17,7 @@ from sixteenrank import (
     represent_x2_32y2,
     sqrt_minus_one_mod_p,
 )
-from sixteenrank.arith import odd_prime_flags
+from sixteenrank.arith import _BLOCK, _runs, odd_prime_flags
 
 
 def trial_division_prime(n: int) -> bool:
@@ -278,3 +279,30 @@ def test_decompose_just_below_two_to_the_64(offset):
     w = decompose_two_squares(p)
     assert w.a * w.a + w.b * w.b == p
     assert w.a % 4 == 1 and w.b % 2 == 0
+
+
+run_lists = st.lists(
+    st.tuples(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=10**4),
+        st.one_of(st.integers(0, 40), st.integers(0, 3 * _BLOCK)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_lists)
+@example([])
+@example([(0, 1, 0), (5, 3, 0)])
+@example([(7, 2, _BLOCK)])  # one run, one full block
+@example([(0, 1, 0), (3, 5, _BLOCK - 1), (0, 1, 0), (9, 1, 1), (1, 7, 2 * _BLOCK + 3)])
+@example([(1, 1, _BLOCK // 2)] * 4)  # 2 _BLOCK entries in four runs
+def test_runs_match_plain_expansion(runs):
+    start, step, count = (np.array([run[j] for run in runs], dtype=np.int64) for j in range(3))
+    expected = [(i, s + k * d) for i, (s, d, n) in enumerate(runs) for k in range(n)]
+    got = []
+    for i, value in _runs(start, step, count):
+        assert i.size == value.size and 0 < i.size <= _BLOCK
+        got.extend(zip(i.tolist(), value.tolist()))
+    assert got == expected

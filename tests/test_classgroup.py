@@ -20,6 +20,8 @@ from sixteenrank import (
     principal_form,
     two_torsion_form,
 )
+from sixteenrank.arith import _powmod
+from sixteenrank.classgroup import _ENUM_LIMIT, _RESIDUE_CUT, _root_table, _splits
 
 
 def brute_reduced_forms(p):
@@ -82,6 +84,25 @@ def test_class_number_matches_divisor_enumeration_large(p):
     assert class_number_enum(p).h == divisor_class_number(p)
 
 
+# isqrt(4p/3) reaches _RESIDUE_CUT = 4096 at p = 12,582,912, and the first
+# prime above the cut, 4099, at p = 12,601,351: the nearest primes = 1 mod 4
+# on either side of each border
+@pytest.mark.parametrize("p", [12582893, 12582917, 12601297, 12601357])
+def test_class_number_across_the_residue_cut(p):
+    assert is_prime(p) and p % 4 == 1
+    assert class_number_enum(p).h == divisor_class_number(p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=_RESIDUE_CUT, max_value=_ENUM_LIMIT - 10**4).map(next_prime_1_mod_4))
+def test_residue_tables_match_euler_criterion(p):
+    # p > _RESIDUE_CUT, so no q of the residue tables divides p
+    table = _root_table(2 * _RESIDUE_CUT)
+    q = table.q[: table.offset.size]
+    assert q.tolist() == list(primes_up_to(_RESIDUE_CUT)[1:])
+    assert np.array_equal(_splits(p, q, table), _powmod(-p % q, q >> 1, q) == 1)
+
+
 def test_class_number_at_the_enumeration_limit():
     # the largest prime = 1 mod 4 below _ENUM_LIMIT, where the count
     # above sqrt(p) runs over many blocks; the value is the divisor
@@ -135,6 +156,15 @@ def test_reduction_lands_in_reduced_set():
             assert (r.a, r.b, r.c) == (f.a, f.b, f.c)
     # a = c needs b >= 0, a case no discriminant -4p with p > 3 prime reaches
     assert QForm(3, -2, 3).reduced() == QForm(3, 2, 3)
+
+
+@pytest.mark.parametrize("f", [QForm(0, 1, 5), QForm(-1, 0, -5), QForm(1, 3, 1)])
+def test_reduction_refuses_forms_not_positive_definite(f):
+    # (0, 1, 5) used to divide by zero, (-1, 0, -5) to come back unreduced
+    with pytest.raises(Refusal, match="positive definite"):
+        f.reduced()
+    with pytest.raises(Refusal, match="positive definite"):
+        f.inverse()
 
 
 def test_principal_and_two_torsion_forms():

@@ -24,7 +24,7 @@ from sixteenrank import (
 )
 from sixteenrank import sievecounts
 from sixteenrank.cli import form_witnesses, render_density
-from sixteenrank.sievecounts import TRIVIAL_PAIR
+from sixteenrank.sievecounts import _X_LIMIT, TRIVIAL_PAIR, prime_rows
 
 
 def is_admissible(pair):
@@ -321,6 +321,10 @@ def test_count_primes_guards():
         count_primes(10**10 + 1, TRIVIAL_PAIR)
     with pytest.raises(Refusal):
         count_primes(-1, TRIVIAL_PAIR)
+    # the walk itself keeps the X budget, whoever calls it
+    for x in (10**30, _X_LIMIT + 1, -1):
+        with pytest.raises(Refusal, match="X must lie"):
+            next(prime_rows(x, TRIVIAL_PAIR))
 
 
 GOLDEN_CSV = (
