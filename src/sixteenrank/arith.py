@@ -17,49 +17,49 @@ import numpy as np
 
 from .errors import Refusal
 
-# Witness set proving compositeness of every composite below 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 37, and their product for one-step trial division.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _MR_LIMIT = 1 << 64
-# psi_k, the smallest strong pseudoprime to the first k bases, k = 1..11
-# (Jaeschke, Math. Comp. 61, 1993; OEIS A014233): the first k bases
-# decide every n < psi_k, and all 12 decide every n < 2^64.
-_MR_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
+# Rows (limit, bases), sorted by limit: the bases decide every n < limit
+# (Jaeschke, Math. Comp. 61, 1993; OEIS A014233 for the first-k rows), and
+# each base lies below the row's lower limit, so no base is 0 mod n.
+_MR_ROWS = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _SMALL_PRIMES[:5]),
+    (3474749660383, _SMALL_PRIMES[:6]),
+    (341550071728321, _SMALL_PRIMES[:7]),
+    (3825123056546413051, _SMALL_PRIMES[:9]),
+    (_MR_LIMIT, _SMALL_PRIMES),
 )
+_MR_LIMITS = tuple(limit for limit, _ in _MR_ROWS)
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 0 <= n < 2^64, with the fewest bases
-    that decide n's size."""
+    that decide n's size: Jaeschke's (1993) {2, 7, 61} below 4,759,123,141
+    and {2, 13, 23, 1662803} below 1,122,004,669,633, so at most four
+    modular powers up to 10^12."""
     if n >= _MR_LIMIT:
         raise Refusal(f"is_prime is deterministic only below 2**64, got {n}")
     if n < 2:
         return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for base in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    # n - 1 = d 2^r with d odd
+    m = n - 1
+    r = _v2(m)
+    d = m >> r
+    for base in _MR_ROWS[bisect_right(_MR_LIMITS, n)][1]:
         x = pow(base, d, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == m:
             continue
         for _ in range(r - 1):
             x = x * x % n
-            if x == n - 1:
+            if x == m:
                 break
         else:
             return False
@@ -130,9 +130,12 @@ def sqrt_minus_one_mod_p(p: int) -> int:
     """The smaller square root r of -1 mod p (0 < r < p/2), p = 1 mod 4."""
     if p % 4 != 1 or not is_prime(p):
         raise Refusal(f"need a prime = 1 mod 4, got {p}")
+    # the least non-residue d is prime: a product of residues is a residue
     d = 2
     while pow(d, (p - 1) // 2, p) != p - 1:
         d += 1
+        while not is_prime(d):
+            d += 1
     r = pow(d, (p - 1) // 4, p)
     r = min(r, p - r)
     assert r * r % p == p - 1

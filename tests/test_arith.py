@@ -17,7 +17,7 @@ from sixteenrank import (
     represent_x2_32y2,
     sqrt_minus_one_mod_p,
 )
-from sixteenrank.arith import _BLOCK, _runs, odd_prime_flags
+from sixteenrank.arith import _BLOCK, _MR_ROWS, _runs, odd_prime_flags
 
 
 def trial_division_prime(n: int) -> bool:
@@ -32,6 +32,16 @@ def trial_division_prime(n: int) -> bool:
 def test_is_prime_matches_trial_division():
     for n in range(20000):
         assert is_prime(n) == trial_division_prime(n), n
+
+
+def test_is_prime_matches_the_sieve():
+    # the sieve is an independent oracle past the (2,) and (2, 3) row limits
+    n = 1 << 18
+    expected = np.zeros(n, dtype=bool)
+    expected[1::2] = odd_prime_flags(n - 1)
+    expected[2] = True
+    got = np.array([is_prime(k) for k in range(n)])
+    assert np.flatnonzero(got != expected).tolist() == []
 
 
 def test_is_prime_strong_pseudoprime():
@@ -54,6 +64,14 @@ PSI = {
     7: (341550071728321, (10670053, 32010157)),
     8: (341550071728321, (10670053, 32010157)),
     9: (3825123056546413051, (149491, 747451, 34233211)),
+}
+
+
+# Jaeschke's rows beyond the first k bases: each limit is the smallest
+# strong pseudoprime to the row's bases, with its factors
+JAESCHKE = {
+    (2, 7, 61): (4759123141, (48781, 97561)),
+    (2, 13, 23, 1662803): (1122004669633, (611557, 1834669)),
 }
 
 
@@ -91,12 +109,31 @@ def test_is_prime_rejects_psi_k(k):
     assert not is_prime(n)
 
 
+@pytest.mark.parametrize("bases", sorted(JAESCHKE))
+def test_is_prime_rejects_jaeschke_row_limits(bases):
+    # the limit fools its row's bases, so is_prime must take the next row there
+    n, factors = JAESCHKE[bases]
+    assert n == math.prod(factors)
+    assert all(strong_probable_prime(n, base) for base in bases)
+    assert (n, bases) in _MR_ROWS
+    assert not is_prime(n)
+
+
+def test_base_table_rows():
+    limits = [limit for limit, _ in _MR_ROWS]
+    assert limits == sorted(set(limits)) and limits[-1] == 2**64
+    # each n a row decides is at least the previous limit (41 for the first
+    # row, past trial division), so no base is 0 mod n
+    for lower, (_, bases) in zip([41, *limits], _MR_ROWS):
+        assert max(bases) < lower, bases
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
         st.integers(0, 2**64 - 1),
         st.integers(0, 10**9),
-        st.sampled_from([n for n, _ in PSI.values()]).flatmap(
+        st.sampled_from([n for n, _ in (*PSI.values(), *JAESCHKE.values())]).flatmap(
             lambda n: st.integers(n - 2000, n + 2000)
         ),
     )
@@ -164,6 +201,18 @@ def test_sqrt_minus_one_property():
         r = sqrt_minus_one_mod_p(p)
         assert 0 < r < p / 2
         assert r * r % p == p - 1
+
+
+def test_sqrt_minus_one_matches_every_d_search():
+    # trying every d >= 2 finds the same least non-residue, so the same root
+    for p in primes_up_to(10**5):
+        if p % 4 != 1:
+            continue
+        d = 2
+        while pow(d, (p - 1) // 2, p) != p - 1:
+            d += 1
+        r = pow(d, (p - 1) // 4, p)
+        assert sqrt_minus_one_mod_p(p) == min(r, p - r), p
 
 
 def test_sqrt_minus_one_rejects():
