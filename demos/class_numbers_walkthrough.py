@@ -14,6 +14,7 @@ from sixteenrank import (
     class_number_enum,
     compose,
     divisibility_chain,
+    primes_up_to,
     principal_form,
     two_torsion_form,
 )
@@ -42,6 +43,12 @@ print(f"2 | h: {chain.div2}   4 | h: {chain.div4}")
 print(f"8 | h by x^2 + 32 y^2:         {chain.div8_forms}")
 print(f"8 | h by (1 + i | p) residue:  {chain.div8_2adic}")
 print(f"8 | h by a + b = +-1 mod 8:    {chain.div8_decomp}")
+
+# the three routes agree for every p = 1 mod 4, saying no when p = 5 mod 8
+for q in primes_up_to(3000):
+    if q % 4 == 1:
+        c = divisibility_chain(q)
+        assert c.div8_forms == c.div8_2adic == c.div8_decomp, q
 
 print()
 print("the same chain across the first primes p = 1 mod 8:")

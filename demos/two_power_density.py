@@ -37,10 +37,10 @@ def two_depth(p: int) -> int:
     if p % 4 != 1:
         return 0  # h(-8) = 1, and h(-4p) is odd for p = 3 mod 4
     chain = divisibility_chain(p)
+    # the three 8 | h routes must agree, and say no when 4 does not divide h
+    assert chain.div8_forms == chain.div8_2adic == chain.div8_decomp
     if not chain.div4:
         return 1
-    # the three 8 | h routes must agree for p = 1 mod 8
-    assert chain.div8_forms == chain.div8_2adic == chain.div8_decomp
     if not chain.div8_forms:
         return 2
     v2 = class_number_enum(p).v2

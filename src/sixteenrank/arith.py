@@ -85,6 +85,11 @@ def _runs(start: np.ndarray, step: np.ndarray, count: np.ndarray):
     memory stays bounded however long the runs are."""
     ends = np.cumsum(count)
     total = int(ends[-1]) if ends.size else 0
+    if 0 < total <= _BLOCK:
+        # one block holds every run whole, with no search for its edges
+        i = np.repeat(np.arange(count.size), count)
+        yield i, start[i] + step[i] * (np.arange(total) - ends[i] + count[i])
+        return
     for e0 in range(0, total, _BLOCK):
         e1 = min(e0 + _BLOCK, total)
         # the runs r0 <= r < r1 meet the block [e0, e1), each in

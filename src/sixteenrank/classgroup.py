@@ -6,13 +6,13 @@ Two independent routes to h(-4p) for primes p = 1 mod 4:
     (A, B, C) of discriminant -4p grouped by the leading coefficient A.
     For A < sqrt(p) there are rho(A) of them, rho(A) being the number
     of roots of x^2 = -p (mod A): a multiplicative function read off
-    the Legendre symbols (-p | q) of the odd primes q.  What rho needs
-    besides those symbols does not depend on p, and is built once per
+    the square roots of -p modulo the odd primes q.  What rho needs
+    besides those roots does not depend on p, and is built once per
     power-of-two bound on A: the odd primes, the pairs (A, q) with q | A,
-    the weights 2^omega(A), and a bit table of the squares mod each q up
-    to _RESIDUE_CUT.  A p then costs one lookup of its symbols and one
-    gather that zeroes the A with a non-split factor.  For
-    sqrt(p) < A <= sqrt(4p/3) the forms are found by scanning B;
+    the weights 2^omega(A), and a table of square roots mod each q up
+    to _RESIDUE_CUT.  A p then costs one gather of its roots and one
+    that zeroes the A with a non-split factor.  For
+    sqrt(p) < A <= sqrt(4p/3) the same roots leave few B to test;
   * class_number_dirichlet evaluates the finite character-sum form of
     the analytic class number formula, h = |sum a * chi(a)| / (4p).
 
@@ -45,8 +45,8 @@ from .errors import Refusal
 
 _ENUM_LIMIT = 2 * 10**9
 _DIRICHLET_LIMIT = 10**6
-# (-p | q) is read from a table of squares mod q up to this q, which covers
-# every p the command line accepts; Euler's criterion decides larger q
+# (-p | q) is read from a table of square roots mod q up to this q, which
+# covers every p the command line accepts; Euler's criterion decides larger q
 _RESIDUE_CUT = 4096
 
 
@@ -117,15 +117,17 @@ def class_number_enum(p: int) -> ClassData:
         the sum of rho(A) over A < sqrt(p), where rho is multiplicative
         with rho(2) = 1, rho(2^k) = 0 for k >= 2 (as -p = 3 mod 4), and
         rho(q^k) = 1 + (-p | q) for odd primes q, none of which divides p.
-        Each (-p | q) is a bit of a cached table of squares mod q for
-        q <= _RESIDUE_CUT, which covers every p below 12,582,912, and
-        Euler's criterion above it.
-      * sqrt(p) < A <= sqrt(4p/3): here b runs over
-        [ceil(sqrt(A^2 - p)), A/2] with A | p + b^2, and each such b
-        gives the two forms (A, +-2b, C).  They never coincide: 2b = A
-        would need b | p, so A = 2, and A = C would need
-        p = (A - b)(A + b), so A = (p + 1)/2 > sqrt(4p/3).  Only A with
-        rho(A) > 0 can divide some p + b^2.
+        Each (-p | q) is read from a cached table of square roots mod q
+        for q <= _RESIDUE_CUT, which covers every p below 12,582,912,
+        and from Euler's criterion above it.
+      * sqrt(p) < A <= sqrt(4p/3): each b in [ceil(sqrt(A^2 - p)), A/2]
+        with A | p + b^2 gives the two forms (A, +-2b, C).  They never
+        coincide: 2b = A would need b | p, so A = 2, and A = C would need
+        p = (A - b)(A + b), so A = (p + 1)/2 > sqrt(4p/3).  Such a b has
+        b^2 = -p mod every prime q | A, so rho(A) > 0 and b = +-t (mod q)
+        for the root t <= q/2 in the table.  Only the b of these two
+        classes are tested, for the largest such q <= _RESIDUE_CUT, and
+        every b when A has none, which needs A >= 4099 > _RESIDUE_CUT.
     """
     if not is_prime(p) or p % 4 != 1:
         raise Refusal(f"need a prime = 1 mod 4, got {p}")
@@ -133,12 +135,29 @@ def class_number_enum(p: int) -> ClassData:
         raise Refusal(f"enumeration budget is p <= {_ENUM_LIMIT}, got {p}")
     root = math.isqrt(p)  # A <= root iff A^2 < p, as p is not a square
     top = math.isqrt(4 * p // 3)
-    rho = _root_counts(p, top)
+    table = _root_table(1 << top.bit_length())  # one table serves many p
+    split, x = _splits(p, table.q[: np.searchsorted(table.q, top, side="right")], table)
+    # rho: the weights, zeroed at each A with a non-split odd prime factor
+    pairs = np.searchsorted(table.pair_a, top, side="right")
+    rho = table.weight[: top + 1].copy()
+    rho[table.pair_a[:pairs][~split[table.pair_i[:pairs]]]] = 0
     h = int(rho[: root + 1].sum(dtype=np.int64))
     a = np.flatnonzero(rho[root + 1 :]) + (root + 1)
-    lo = _ceil_sqrt(a * a - p)
-    count = a // 2 - lo + 1  # >= 0, since 4(A^2 - p) <= A^2
-    for i, b in _runs(lo, np.ones_like(lo), count):
+    # the modulus m and root t of each A; index -1 of table.factor, "no
+    # factor", reads the appended modulus 1 with t = 0
+    k = table.factor[a]
+    m = np.append(table.q[: x.size], 1)[k]
+    t = np.append(x, 0)[k]
+    # ceil(sqrt(A^2 - p)), exact: A^2 - p < 2^52, where the float root of a
+    # non-square is never an integer and that of a square is exact
+    lo = np.ceil(np.sqrt(a * a - p)).astype(np.int64)
+    hi = a // 2  # >= lo - 1, since 4(A^2 - p) <= A^2
+    # the b = t and b = -t (mod m) in [lo, hi], from first to last; the
+    # second class is the first when m = 1, so it is left empty there
+    first = np.concatenate((lo + (t - lo) % m, lo + (-t - lo) % m))
+    last = np.concatenate((hi, np.where(m > 1, hi, lo - 1)))
+    m, a = np.concatenate((m, m)), np.concatenate((a, a))
+    for i, b in _runs(first, m, (last - first) // m + 1):
         h += 2 * int(np.count_nonzero((p + b * b) % a[i] == 0))
     return ClassData(p=p, h=h, v2=_v2(h))
 
@@ -151,9 +170,11 @@ class _RootTable(NamedTuple):
     pair_a: np.ndarray
     pair_i: np.ndarray
     weight: np.ndarray  # 2^(number of odd primes dividing A); 0 at A = 0 and 4 | A
-    # for q[i] <= _RESIDUE_CUT, bit offset[i] + x of residues (little-endian
-    # within a byte) is set iff x is a square mod q[i]
-    residues: np.ndarray
+    # factor[A]: the i of the largest q[i] <= _RESIDUE_CUT dividing A, or -1
+    factor: np.ndarray
+    # for q[i] <= _RESIDUE_CUT, roots[offset[i] + r] is the x <= q[i]/2 with
+    # x^2 = r (mod q[i]), or -1 when r is not a square mod q[i]
+    roots: np.ndarray
     offset: np.ndarray
 
 
@@ -164,61 +185,39 @@ def _root_table(bound: int) -> _RootTable:
     # bound >= 3; the arrays are read-only, as the cache shares them
     q = np.array(primes_up_to(bound)[1:], dtype=np.int64)
     pair_i, pair_a = map(np.concatenate, zip(*_runs(q, q, bound // q)))
+    small = q[q <= _RESIDUE_CUT]
+    factor = np.full(bound + 1, -1)
+    keep = pair_i < small.size
+    np.maximum.at(factor, pair_a[keep], pair_i[keep])
     order = np.argsort(pair_a)
     pair_a, pair_i = pair_a[order], pair_i[order]
     weight = 1 << np.bincount(pair_a, minlength=bound + 1)
     weight[0] = 0
     weight[4::4] = 0
-    # each q's bits start on a byte, so that each packs by itself
-    small = q[q <= _RESIDUE_CUT]
-    width = (small + 7) & -8
-    squares = []
-    for m, w in zip(small.tolist(), width.tolist()):
-        flags = np.zeros(w, dtype=bool)
+    offset = np.cumsum(small) - small
+    roots = np.full(int(small.sum()), -1, dtype=np.int16)
+    for m, o in zip(small.tolist(), offset.tolist()):
         x = np.arange(m // 2 + 1)
-        flags[x * x % m] = True
-        squares.append(np.packbits(flags, bitorder="little"))
-    table = _RootTable(
-        q, pair_a, pair_i, weight, np.concatenate(squares), np.cumsum(width) - width
-    )
+        roots[o + x * x % m] = x
+    table = _RootTable(q, pair_a, pair_i, weight, factor, roots, offset)
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _splits(p: int, q: np.ndarray, table: _RootTable) -> np.ndarray:
-    """(-p | q) == 1 for q a prefix of table.q not dividing p: read from the
-    residue bits up to _RESIDUE_CUT, by Euler's criterion above it."""
+def _splits(p: int, q: np.ndarray, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:
+    """For q a prefix of table.q not dividing p: whether (-p | q) == 1, and
+    for the q <= _RESIDUE_CUT the root x <= q/2 of x^2 = -p (mod q), or -1.
+
+    (-p | q) == 1 is x >= 0 up to _RESIDUE_CUT, Euler's criterion above it.
+    """
     r = -p % q
     cut = min(q.size, table.offset.size)
-    k = table.offset[:cut] + r[:cut]
-    split = (table.residues[k >> 3] >> (k & 7)) & 1 == 1
+    x = table.roots[table.offset[:cut] + r[:cut]]
+    split = x >= 0
     if cut < q.size:
         split = np.concatenate((split, _powmod(r[cut:], q[cut:] >> 1, q[cut:]) == 1))
-    return split
-
-
-def _root_counts(p: int, n: int) -> np.ndarray:
-    """rho[A] = #{x mod A : x^2 = -p (mod A)} for 1 <= A <= n < p; rho[0] = 0.
-
-    rho(A) is 0 when 4 | A or an odd prime q | A has (-p | q) = -1, and
-    otherwise 2 to the number of odd primes dividing A.
-    """
-    # a power-of-two bound, so that one table serves many p
-    table = _root_table(1 << n.bit_length())
-    split = _splits(p, table.q[: np.searchsorted(table.q, n, side="right")], table)
-    pairs = np.searchsorted(table.pair_a, n, side="right")
-    rho = table.weight[: n + 1].copy()
-    rho[table.pair_a[:pairs][~split[table.pair_i[:pairs]]]] = 0
-    return rho
-
-
-def _ceil_sqrt(m: np.ndarray) -> np.ndarray:
-    # exact ceil(sqrt(m)) for 1 <= m < 2^52: the float root, corrected
-    s = np.sqrt(m.astype(np.float64)).astype(np.int64)
-    s -= s * s > m
-    s += (s + 1) * (s + 1) <= m
-    return s + (s * s < m)
+    return split, x
 
 
 def class_number_dirichlet(p: int) -> int:
@@ -293,8 +292,8 @@ def divisibility_chain(p: int) -> Div8Chain:
     """Evaluate the 2, 4, 8 divisibility criteria for h(-4p).
 
     2 | h iff p = 1 mod 4; 4 | h iff p = 1 mod 8; 8 | h three ways:
-    p = x^2 + 32 y^2, the (1 + i | p) residue test, and a + b = +-1
-    mod 8 on the two-square witness.  The three must agree.
+    p = x^2 + 32 y^2, and for p = 1 mod 8 the (1 + i | p) residue test
+    and a + b = +-1 mod 8 on the two-square witness.  The three agree.
     """
     if not is_prime(p) or p % 4 != 1:
         raise Refusal(f"need a prime = 1 mod 4, got {p}")
@@ -305,5 +304,5 @@ def divisibility_chain(p: int) -> Div8Chain:
         div4=div4,
         div8_forms=represent_x2_32y2(p) is not None,
         div8_2adic=div4 and one_plus_i_is_square(p),
-        div8_decomp=(w.a + w.b) % 8 in (1, 7),
+        div8_decomp=div4 and (w.a + w.b) % 8 in (1, 7),
     )

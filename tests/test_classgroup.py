@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixteenrank import (
@@ -93,14 +93,100 @@ def test_class_number_across_the_residue_cut(p):
     assert class_number_enum(p).h == divisor_class_number(p)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=_RESIDUE_CUT, max_value=_ENUM_LIMIT - 10**4).map(next_prime_1_mod_4))
-def test_residue_tables_match_euler_criterion(p):
-    # p > _RESIDUE_CUT, so no q of the residue tables divides p
+def plain_class_number(p):
+    """h(-4p) by a full-range scan: rho(A) summed over A < sqrt(p), with
+    each (-p | q) from Euler's criterion, plus the two forms (A, +-2b, C)
+    for every b in [ceil(sqrt(A^2 - p)), A/2] with A | p + b^2, over every
+    A in (sqrt(p), sqrt(4p/3)]."""
+    root, top = math.isqrt(p), math.isqrt(4 * p // 3)
+    rho = np.ones(root + 1, dtype=np.int64)
+    rho[0] = 0
+    rho[4::4] = 0
+    for q in primes_up_to(root)[1:]:
+        rho[q::q] *= 2 if pow(-p % q, q >> 1, q) == 1 else 0
+    h = int(rho.sum())
+    for a in range(root + 1, top + 1):
+        b = np.arange(math.isqrt(a * a - p - 1) + 1, a // 2 + 1, dtype=np.int64)
+        h += 2 * int(np.count_nonzero((p + b * b) % a == 0))
+    return h
+
+
+def fallback_forms(p):
+    """The (A, b) of the forms (A, 2b, C) with A above sqrt(p) and no odd
+    prime factor <= _RESIDUE_CUT, found by scanning every b."""
+    small = primes_up_to(_RESIDUE_CUT)[1:]
+    return [
+        (a, b)
+        for a in range(math.isqrt(p) + 1, math.isqrt(4 * p // 3) + 1)
+        if all(a % q for q in small)
+        for b in range(math.isqrt(a * a - p - 1) + 1, a // 2 + 1)
+        if (p + b * b) % a == 0
+    ]
+
+
+# p of every size up to _ENUM_LIMIT, as often small as large, since the
+# plain scan costs about p / 40 divisions
+sized_p = st.integers(min_value=3, max_value=_ENUM_LIMIT.bit_length()).flatmap(
+    lambda k: st.integers(min_value=2 ** (k - 1), max_value=min(2**k, 1999999973))
+).map(next_prime_1_mod_4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sized_p)
+@example(5)
+@example(12582893)  # the nearest primes = 1 mod 4 around isqrt(4p/3) = 4096
+@example(12582917)
+# a form (4099, 2 * 2049, C): 4099 is prime and past _RESIDUE_CUT, so its b
+# come from the scan of every b, and b = A // 2 is the last of them
+@example(12615697)
+@example(12640261)  # the form (4099, 2 * 2044, C)
+def test_class_number_matches_plain_scan(p):
+    assert class_number_enum(p).h == plain_class_number(p)
+
+
+@pytest.mark.parametrize("p, forms", [(12615697, [(4099, 2049)]), (12640261, [(4099, 2044)])])
+def test_fallback_examples_hold_forms(p, forms):
+    # the examples above reach the A with no odd prime factor <= _RESIDUE_CUT
+    assert is_prime(p) and p % 4 == 1
+    assert fallback_forms(p) == forms
+
+
+def test_residue_tables_match_euler_criterion():
+    # every odd prime q <= _RESIDUE_CUT and every r mod q: the table holds -1
+    # for the non-residues of Euler's criterion, else a root x <= q/2
     table = _root_table(2 * _RESIDUE_CUT)
     q = table.q[: table.offset.size]
     assert q.tolist() == list(primes_up_to(_RESIDUE_CUT)[1:])
-    assert np.array_equal(_splits(p, q, table), _powmod(-p % q, q >> 1, q) == 1)
+    assert table.roots.size == q.sum()
+    mod = np.repeat(q, q)
+    r = np.arange(mod.size) - np.repeat(table.offset, q)
+    x = table.roots.astype(np.int64)
+    residue = _powmod(r, mod >> 1, mod) != mod - 1
+    assert np.array_equal(x != -1, residue)
+    x, mod, r = x[residue], mod[residue], r[residue]
+    assert np.all((0 <= x) & (2 * x <= mod))
+    assert np.array_equal(x * x % mod, r)
+    # factor[A] is the index of the largest q <= _RESIDUE_CUT dividing A
+    factor = np.full(table.factor.size, -1)
+    for i, m in enumerate(q.tolist()):
+        factor[m::m] = i
+    assert np.array_equal(table.factor, factor)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=_RESIDUE_CUT, max_value=_ENUM_LIMIT - 10**4).map(next_prime_1_mod_4))
+def test_splits_match_euler_criterion(p):
+    # p > _RESIDUE_CUT, so no q of the root table divides p; the q past the
+    # table are decided by Euler's criterion in _splits itself
+    table = _root_table(2 * _RESIDUE_CUT)
+    q = table.q
+    split, x = _splits(p, q, table)
+    x = x.astype(np.int64)
+    assert np.array_equal(split, _powmod(-p % q, q >> 1, q) == 1)
+    small = q[: x.size]
+    assert x.size == table.offset.size
+    assert np.array_equal(x >= 0, split[: x.size])
+    assert np.all(((x * x + p) % small == 0) | (x == -1))
 
 
 def test_class_number_at_the_enumeration_limit():
@@ -302,3 +388,4 @@ def test_divisibility_chain_routes_agree_with_class_number():
             assert not chain.div4
             assert not chain.div8_forms
             assert not chain.div8_2adic
+            assert not chain.div8_decomp, p
