@@ -213,8 +213,9 @@ def one_plus_i_is_square(p: int) -> bool:
 
     The answer does not depend on the choice of root: the two candidates
     1 + r and 1 - r multiply to 2, a square mod any p = 1 mod 8.
+    A composite p = 1 mod 8 is refused by sqrt_minus_one_mod_p.
     """
-    if p % 8 != 1 or not is_prime(p):
+    if p % 8 != 1:
         raise Refusal(f"need a prime = 1 mod 8, got {p}")
     r = sqrt_minus_one_mod_p(p)
     return pow(1 + r, (p - 1) // 2, p) == 1

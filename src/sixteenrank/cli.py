@@ -26,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .arith import decompose_two_squares
+from .arith import PrimeWitness, decompose_two_squares
 from .classgroup import class_number_enum
 from .errors import Refusal
 from .gauss2adic import RankCase, sixteen_divides, sixteen_rank_case
@@ -77,8 +77,8 @@ def _verify_row(item: tuple[int, int, int]) -> VerifyRow:
         two_adic = None
         agree = data.v2 <= 2
     else:
-        w = decompose_two_squares(p)
-        assert w.c == c
+        # the walk's (a, c) is p's one sum of two squares; sign a to 1 mod 4
+        w = PrimeWitness(p=p, a=a if a % 4 == 1 else -a, b=c * c, c=c)
         two_adic = sixteen_divides(w)
         if case is RankCase.DIV16:
             agree = data.v2 >= 4 and two_adic

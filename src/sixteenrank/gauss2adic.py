@@ -265,11 +265,8 @@ def sixteen_divides(w: PrimeWitness) -> bool:
 
     Requires 8 | h (a + b = +-1 mod 8) and c present; refuses otherwise.
     """
-    pi = normalize_pi(w)
-    if w.c is None:
-        raise Refusal(f"p = {w.p} is not of the form a^2 + c^4 (b is not a square)")
-    s = hensel_sqrt(pi, 7)
-    return is_square_unit(omega0(w, s))
+    s = hensel_sqrt(normalize_pi(w), 7)
+    return is_square_unit(omega0(w, s))  # omega0 refuses a missing c
 
 
 class RankCase(str, enum.Enum):

@@ -9,7 +9,10 @@ half-integer case never occurs).
 williams_check tests the classical congruence h = T + p - 1 mod 16,
 valid whenever 8 | h.  predict_unit_congruences turns the residues of
 (a, c) with p = a^2 + c^4 into the forced values of T mod 16 and
-U mod 8 (up to sign).
+U mod 8 (up to sign).  With c even, p = a^2 mod 16, so the T column is
+Williams' congruence read on residues, and a finite check over (a mod 16,
+c mod 4) proves it for every prime of the family.  U mod 8 does not
+follow from the congruence; only computed units check it.
 """
 
 from __future__ import annotations

@@ -350,13 +350,13 @@ def count_report(x: int, pairs=None, ratio_mode: str = "lattice") -> CountReport
         raise Refusal(f"ratio_mode must be 'lattice' or 'distinct', got {ratio_mode!r}")
     pairs = canonical_pairs() if pairs is None else tuple(pairs)
     _check_x(x)
-    for pair in pairs:
-        density_constant(pair)  # refuses an inadmissible pair before any row is walked
+    # each main term checks its pair, so an inadmissible pair is refused
+    # before any row is walked
+    main_terms = [expected_main_term(x, pair) for pair in pairs]
     rows = []
-    for pair in pairs:
+    for pair, expected in zip(pairs, main_terms):
         lattice = count_primes(x, pair, "lattice")
         distinct = count_primes(x, pair, "distinct")
-        expected = expected_main_term(x, pair)
         basis = lattice if ratio_mode == "lattice" else distinct
         rows.append(
             ClassCount(

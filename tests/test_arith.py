@@ -315,6 +315,8 @@ def test_one_plus_i_root_choice_is_irrelevant():
 def test_one_plus_i_rejects():
     with pytest.raises(Refusal):
         one_plus_i_is_square(13)  # 13 = 5 mod 8
+    with pytest.raises(Refusal):
+        one_plus_i_is_square(65)  # 1 mod 8, but 5 * 13
 
 
 @settings(max_examples=30, deadline=None)

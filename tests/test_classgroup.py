@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ def test_three_route_class_number_agreement():
         assert class_number_dirichlet(p) == brute, p
         assert data.v2 == (data.h & -data.h).bit_length() - 1
         assert data.p == p
+
+
+def test_dirichlet_oracle_at_its_budget():
+    # the largest p = 1 mod 4 below _DIRICHLET_LIMIT; the half-period sum
+    # needs one Legendre table mod p, not arrays over the period 4p
+    p = 999961
+    tracemalloc.start()
+    try:
+        h = class_number_dirichlet(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == class_number_enum(p).h
+    assert peak < 64 * 2**20, peak
 
 
 def test_class_number_refusals():

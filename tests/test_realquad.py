@@ -107,6 +107,21 @@ def test_prediction_table():
         assert set(pred.u_mod_8) == u8
 
 
+def test_t_prediction_is_williams_congruence_on_every_residue():
+    # h = T + p - 1 mod 16 with h = 0 (DIV16) or 8 (EXACTLY8) mod 16, and
+    # p = a^2 mod 16 for c even: the T column follows for every prime
+    deep = 0
+    for a in range(1, 16, 2):
+        for c in (0, 2):
+            case = sixteen_rank_case(a, c)
+            if case is RankCase.NOT8:
+                continue
+            deep += 1
+            exactly8 = case is RankCase.EXACTLY8
+            assert predict_unit_congruences(a, c).t_mod_16 == (1 - a * a + 8 * exactly8) % 16, (a, c)
+    assert deep == 8
+
+
 def test_prediction_refuses_outside_covered_cases():
     with pytest.raises(Refusal):
         predict_unit_congruences(1, 2)  # a + c^2 = 5 mod 8
