@@ -22,18 +22,22 @@ row of fixed c strikes the a with a^2 + c^4 divisible by a prime q up to
 a bound: a = 0 mod q when q | c, a odd when q = 2 and c is odd,
 a = +-r_q c^2 mod q with r_q^2 = -1 when q = 1 mod 4, and a whole row or
 none of it when q | q1, as the row's a all lie in one class mod q.  The
-primes, the signed roots +-r_q and q1^-1 mod q do not depend on c, so each
-prime_rows call builds them once; a row then finds the first index of
-every root in a few array operations.  A prime q no less than the row's
-length strikes it at most once, at that index; only the smaller primes
-walk their progressions.  Up to X = _SIEVE_LIMIT the bound is sqrt(X), so
-a survivor above it is prime, and the values up to sqrt(X), which a
-prime q = n strikes from its own row, are read from the odd-only sieve
-of arith up to sqrt(X).  Above _SIEVE_LIMIT only the primes below
-_STRIKE_BOUND strike, and deterministic Miller-Rabin decides the
-survivors.  A row with c^4 above the bound holds no value up to it.  In
-both paths the rows c and -c hold the same a, so a class that holds both
-walks the row once.
+primes, +-r_q q1^-1 and q1^-1 mod q do not depend on c, so each prime_rows
+call builds them once: r_q = x y^-1 mod q from the one way to write
+q = x^2 + y^2 with x odd and y even, which a single pass over the x, y up
+to the bound's square root finds for every q, and all the inverses from
+one vectorised modular power.  A row then finds the first index of every
+root, k0 = (+-r_q q1^-1 c^2 - start q1^-1) mod q, with one reduction per
+prime, and tests q | c only for the q = 3 mod 4 up to |c| (all of them
+when c = 0).  A prime q no less than the row's length strikes it at most
+once, at that index; only the smaller primes walk their progressions.
+Up to X = _SIEVE_LIMIT the bound is sqrt(X), so a survivor above it is
+prime, and the values up to sqrt(X), which a prime q = n strikes from its
+own row, are read from the odd-only sieve of arith up to sqrt(X).  Above
+_SIEVE_LIMIT only the primes below _STRIKE_BOUND strike, and
+deterministic Miller-Rabin decides the survivors.  A row with c^4 above
+the bound holds no value up to it.  In both paths the rows c and -c hold
+the same a, so a class that holds both walks the row once.
 """
 
 from __future__ import annotations
@@ -141,12 +145,13 @@ class _Strike(NamedTuple):
     bound: int
     flags: np.ndarray  # arith.odd_prime_flags(bound)
     whole: int  # the product of the q | q1; a row lies in one class mod each
-    # the q = 2 and q = 1 mod 4 that do not divide q1, each listed twice:
-    # q, the signed root +r then -r of r^2 = -1 mod q, and q1^-1 mod q
+    # the q = 2 and q = 1 mod 4 that do not divide q1, increasing, each
+    # listed twice, once per root +-r of r^2 = -1 mod q: q, the signed
+    # +-r q1^-1 mod q, and q1^-1 mod q
     rooted_q: np.ndarray
-    rooted_r: np.ndarray
+    rooted_rinv: np.ndarray
     rooted_inv: np.ndarray
-    # the q = 3 mod 4 that do not divide q1, and q1^-1 mod q
+    # the q = 3 mod 4 that do not divide q1, increasing, and q1^-1 mod q
     rootless_q: np.ndarray
     rootless_inv: np.ndarray
 
@@ -157,26 +162,30 @@ def _strike_table(bound: int, q1: int) -> _Strike:
     q = 2 * np.flatnonzero(flags).astype(np.int64) + 1
     if bound >= 2:
         q = np.concatenate(([2], q))
-    # r = d^((q - 1) / 4) for the least d with r^2 = (d | q) = -1; that d
-    # is a prime, as a product of residues is a residue
-    r = (q == 2).astype(np.int64)
-    todo = np.flatnonzero(q % 4 == 1)
-    for d in q.tolist():
-        if todo.size == 0:
-            break
-        qt = q[todo]
-        t = _powmod(np.full_like(qt, d), (qt - 1) // 4, qt)
-        found = t * t % qt == qt - 1
-        r[todo[found]] = t[found]
-        todo = todo[~found]
-    inv = _powmod(q1 % q, q - 2, q)
-    whole = q1 % q == 0
-    rooted = (r != 0) & ~whole
-    rootless = (r == 0) & ~whole
+    # each q = 1 mod 4 is x^2 + y^2 for one odd x > 0 and one even y > 0, so
+    # one pass over those x, y up to sqrt(bound) finds every q, and r = x y^-1
+    # has r^2 = -1 mod q; 2 = 1^2 + 1^2 with r = 1
+    root = math.isqrt(bound)
+    x, y = np.arange(1, root + 1, 2), np.arange(2, root + 1, 2)
+    n = (x[:, None] ** 2 + y**2).ravel()
+    fit = np.flatnonzero(n <= bound)
+    at = np.zeros(flags.size, dtype=np.int64)  # at[q >> 1]: q's index in n
+    at[n[fit] >> 1] = fit
+    rq = q[(q % 4 == 1) & (q1 % q != 0)]
+    at = at[rq >> 1]
+    rx, ry = x[at // y.size], y[at % y.size]
+    if bound >= 2 and q1 % 2:
+        rq, rx, ry = np.r_[2, rq], np.r_[1, rx], np.r_[1, ry]
+    zq = q[(q % 4 == 3) & (q1 % q != 0)]
+    # one modular power gives (y q1)^-1 mod each rooted q and q1^-1 mod each
+    # rootless q; then r q1^-1 = x (y q1)^-1 and q1^-1 = y (y q1)^-1
+    mods = np.concatenate((rq, zq))
+    t = _powmod(np.r_[ry, np.ones_like(zq)] * (q1 % mods) % mods, mods - 2, mods)
+    t, zinv = t[: rq.size], t[rq.size :]
+    rinv = rx * t % rq
     return _Strike(
-        bound, flags, math.prod(q[whole].tolist()),
-        np.tile(q[rooted], 2), np.concatenate((r[rooted], -r[rooted])),
-        np.tile(inv[rooted], 2), q[rootless], inv[rootless],
+        bound, flags, math.prod(q[q1 % q == 0].tolist()),
+        rq.repeat(2), np.column_stack((rinv, -rinv)).ravel(), (ry * t % rq).repeat(2), zq, zinv,
     )
 
 
@@ -190,20 +199,22 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.
         keep[:] = False
     else:
         # the roots of a^2 = -c^4 mod q are +-r c^2; a q = 3 mod 4 has only
-        # the root 0, when q | c.  k0 is a root's first index in the row:
-        # start + k0 q1 = root mod q
+        # the root 0, when q | c: every such q when c = 0, else a q <= |c|.
+        # k0 is a root's first index in the row, start + k0 q1 = root mod q,
+        # so k0 = (+-r q1^-1 c^2 - start q1^-1) mod q.  With q <= sqrt(X),
+        # c^2 <= sqrt(X) and |start| <= sqrt(X), each product is at most
+        # _X_LIMIT = 10^10 in size, so int64 holds them unreduced
         qr = strike.rooted_q
-        zero = c % strike.rootless_q == 0
+        head = np.searchsorted(strike.rootless_q, abs(c), side="right") if c else None
+        zero = np.flatnonzero(c % strike.rootless_q[:head] == 0)
         qz = strike.rootless_q[zero]
-        qs = np.concatenate((qr, qz))
-        k0 = np.concatenate((
-            (strike.rooted_r * (c * c % qr) - start) % qr * strike.rooted_inv % qr,
-            -start % qz * strike.rootless_inv[zero] % qz,
-        ))
+        k0 = (strike.rooted_rinv * (c * c) - start * strike.rooted_inv) % qr
         # a q no less than the row's length strikes it at most once
-        once = qs >= n.size
-        keep[k0[once & (k0 < n.size)]] = False
-        k0, qs = k0[~once], qs[~once]
+        few = np.searchsorted(qr, n.size)
+        once = k0[few:]
+        keep[once[once < n.size]] = False
+        qs = np.concatenate((qr[:few], qz))
+        k0 = np.concatenate((k0[:few], -start * strike.rootless_inv[zero] % qz))
         for _, struck in _runs(k0, qs, (n.size - 1 - k0) // qs + 1):
             keep[struck] = False
     keep |= n <= strike.bound

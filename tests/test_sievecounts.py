@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixteenrank import (
@@ -22,6 +22,7 @@ from sixteenrank import (
     kappa,
     represented_primes,
 )
+from sixteenrank.arith import primes_up_to, sqrt_minus_one_mod_p
 from sixteenrank import sievecounts
 from sixteenrank.cli import form_witnesses, render_density
 from sixteenrank.sievecounts import _X_LIMIT, TRIVIAL_PAIR, prime_rows
@@ -95,8 +96,25 @@ def pairs(draw):
     return CongruencePair(draw(st.integers(0, q1 - 1)), q1, draw(st.integers(0, q2 - 1)), q2)
 
 
+# c = 1 mod 3 holds no -c, so rows with c < 0 are walked; at X = 50000 the
+# rows c = -11 and c = -14 are struck at a = 0 by 11 and by 7, primes
+# q = 3 mod 4 that divide c
+NEGATIVE_C_PAIR = CongruencePair(0, 1, 1, 3)
+
+
+@pytest.mark.parametrize("sieve_limit", [sievecounts._SIEVE_LIMIT, 0],
+                         ids=["sieve", "miller_rabin"])
+def test_rows_of_negative_c_match_brute_force(monkeypatch, sieve_limit):
+    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", sieve_limit)
+    lattice, primes = brute_counts(50000, NEGATIVE_C_PAIR)
+    assert lattice == 610
+    assert count_primes(50000, NEGATIVE_C_PAIR, "lattice") == lattice
+    assert represented_primes(50000, NEGATIVE_C_PAIR).tolist() == sorted(primes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**7), pairs())
+@example(50000, NEGATIVE_C_PAIR)
 def test_sieve_agrees_with_miller_rabin(x, pair):
     def counts():
         return (count_primes(x, pair, "lattice"), count_primes(x, pair, "distinct"),
@@ -132,7 +150,7 @@ def test_form_witnesses_match_brute_force(monkeypatch, sieve_limit):
 # value at index q has no other prime factor that strikes
 STRIKE_ROWS = [
     pytest.param(c, q1, np.arange(-700, 701, q1, dtype=np.int64), id=f"{c}-{q1}")
-    for q1 in (1, 2, 15, 16) for c in (0, 1, 2, 3, 5, 6, 10, 26, 65, 210)
+    for q1 in (1, 2, 15, 16) for c in (0, 1, 2, 3, 5, 6, 10, 26, 65, 210, -6, -21)
 ] + [
     pytest.param(c, 1, np.arange(start, start + size, dtype=np.int64),
                  id=f"{c}-1-q{q}-len{size}")
@@ -164,6 +182,60 @@ def test_strike_at_full_bound_leaves_exactly_primes(c, q1, a):
     want = np.array([is_prime(v) for v in n.tolist()]) | (n <= bound)
     strike = sievecounts._strike_table(bound, q1)
     got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
+    assert got.tolist() == want.tolist()
+
+
+@st.composite
+def table_moduli(draw):
+    # q1 <= 10^4, often a multiple of 2 or of a small q = 1 mod 4, so that
+    # rooted primes divide it and strike whole rows
+    factor = draw(st.sampled_from((1, 2, 4, 5, 10, 13, 17, 65, 3 * 5 * 7)))
+    return factor * draw(st.integers(min_value=1, max_value=10**4 // factor))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3000), table_moduli())
+def test_strike_table_against_slow_roots(bound, q1):
+    strike = sievecounts._strike_table(bound, q1)
+    primes = set(primes_up_to(bound))
+    whole = {q for q in primes if q1 % q == 0}
+    assert strike.whole == math.prod(whole)
+    rooted = strike.rooted_q.tolist()
+    rootless = strike.rootless_q.tolist()
+    assert rooted == sorted(q for q in primes - whole if q % 4 != 3 for _ in (1, 2))
+    assert rootless == sorted(q for q in primes - whole if q % 4 == 3)
+    for q, rinv, inv in zip(rooted, strike.rooted_rinv.tolist(),
+                            strike.rooted_inv.tolist()):
+        assert inv * q1 % q == 1
+        r = 1 if q == 2 else sqrt_minus_one_mod_p(q)
+        assert rinv * q1 % q in (r, q - r)
+    # each q's two entries carry the two roots
+    signed = strike.rooted_rinv.reshape(-1, 2)
+    assert ((signed[:, 0] + signed[:, 1]) % strike.rooted_q[::2] == 0).all()
+    for q, inv in zip(rootless, strike.rootless_inv.tolist()):
+        assert inv * q1 % q == 1
+
+
+@pytest.mark.parametrize("q1", [1, 15])
+@pytest.mark.parametrize("start, c", [(-10**5, 316), (10**5, -316)])
+def test_strike_holds_int64_headroom_at_the_x_limit(start, c, q1):
+    # at X = _X_LIMIT the bound is 10^5, |c| reaches 316 and |start| 10^5,
+    # so the products in k0 reach 10^10; the struck indices must be those
+    # that the same k0 formula gives in Python ints
+    bound = math.isqrt(_X_LIMIT)
+    a = np.arange(start, start + 2000 * q1, q1, dtype=np.int64)
+    n = a * a + c**4
+    strike = sievecounts._strike_table(bound, q1)
+    # no q | q1 strikes the whole row, so every struck index comes from a k0
+    assert math.gcd(start * start + c**4, strike.whole) == 1
+    want = np.ones(n.size, dtype=bool)
+    for q, rinv, inv in zip(strike.rooted_q.tolist(), strike.rooted_rinv.tolist(),
+                            strike.rooted_inv.tolist()):
+        want[(rinv * c * c - start * inv) % q :: q] = False
+    for q, inv in zip(strike.rootless_q.tolist(), strike.rootless_inv.tolist()):
+        if c % q == 0:
+            want[-start * inv % q :: q] = False
+    got = sievecounts._strike_survivors(n, start, c, strike)
     assert got.tolist() == want.tolist()
 
 
