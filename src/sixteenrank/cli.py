@@ -273,10 +273,7 @@ def _parse_pair(args) -> CongruencePair | None:
         raise Refusal("provide all of --a0 --q1 --c0 --q2, or none")
     if args.q1 > _CLI_MODULUS_CAP or args.q2 > _CLI_MODULUS_CAP:
         raise Refusal(f"moduli budget is q1, q2 <= {_CLI_MODULUS_CAP}")
-    try:
-        return CongruencePair(a0=args.a0, q1=args.q1, c0=args.c0, q2=args.q2)
-    except ValueError as exc:
-        raise Refusal(str(exc)) from exc
+    return CongruencePair(a0=args.a0, q1=args.q1, c0=args.c0, q2=args.q2)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,11 @@ density constant; for the class (a0 mod 16, c0 mod 4) of an odd a0 and
 even c0 it specializes to (kappa / 2 pi) X^(3/4) / log X.  kappa is a
 float constant, the value adaptive quadrature gives, so nothing here
 needs scipy.
-c(q1, q2) exists when a^2 + c^4 is a unit mod lcm(q1, q2) for every lift;
-that is decided prime by prime, as CRT makes the lifts independent mod
-each prime of the modulus.
+c(q1, q2) exists when a^2 + c^4 is a unit mod lcm(q1, q2) for every lift.
+CRT makes the lifts independent mod each prime of the modulus, so
+density_constant decides that prime by prime, in the one pass that
+multiplies in the local factors (1 - g(p))^-1, and names the first lift
+that fails.
 
 prime_rows is the one walk of the family: the counts here and the
 verify sweep's witnesses (cli.form_witnesses) all read its rows.  Each
@@ -70,9 +72,9 @@ class CongruencePair:
 
     def __post_init__(self):
         if self.q1 < 1 or self.q2 < 1:
-            raise ValueError("moduli must be >= 1")
+            raise Refusal("moduli must be >= 1")
         if not (0 <= self.a0 < self.q1 and 0 <= self.c0 < self.q2):
-            raise ValueError("residues must satisfy 0 <= a0 < q1, 0 <= c0 < q2")
+            raise Refusal("residues must satisfy 0 <= a0 < q1, 0 <= c0 < q2")
 
 
 TRIVIAL_PAIR = CongruencePair(0, 1, 0, 1)
@@ -103,33 +105,6 @@ def _prime_divisors(q: int) -> list[int]:
 def _residues(r: int, m: int, ell: int):
     # the residues mod the prime ell of the lifts r + i m
     return (r % ell,) if m % ell == 0 else range(ell)
-
-
-def _first_lift(r: int, m: int, ells: list[int], bad) -> int | None:
-    # least i >= 0 with bad(ell, (r + i m) % ell) for some ell, else None; an
-    # ell that does not divide m divides q / m, so every residue h mod ell is
-    # reached, first at i = (h - r) / m mod ell
-    steps = []
-    for ell in ells:
-        inv = 0 if m % ell == 0 else pow(m, -1, ell)
-        steps.extend((h - r) * inv % ell for h in _residues(r, m, ell) if bad(ell, h))
-    return min(steps, default=None)
-
-
-def _find_violation(pair: CongruencePair) -> tuple[int, int, int] | None:
-    # first lift (a1, c1) mod q = lcm(q1, q2), a1 = a0 + i q1 outer and
-    # c1 = c0 + j q2 inner, with gcd(a1^2 + c1^4, q) > 1, else None.  By CRT
-    # the lifts run independently mod each prime ell | q, and ell divides q1
-    # or q2, so a or c is fixed mod ell and each ell costs O(ell)
-    q = math.lcm(pair.q1, pair.q2)
-    ells = _prime_divisors(q)
-    i = _first_lift(pair.a0, pair.q1, ells, lambda ell, a: any(
-        (a * a + c**4) % ell == 0 for c in _residues(pair.c0, pair.q2, ell)))
-    if i is None:
-        return None
-    a1 = pair.a0 + i * pair.q1
-    j = _first_lift(pair.c0, pair.q2, ells, lambda ell, c: (a1 * a1 + c**4) % ell == 0)
-    return (a1, pair.c0 + j * pair.q2, q)
 
 
 def _progression(lo: int, hi: int, r: int, q: int) -> np.ndarray:
@@ -313,18 +288,38 @@ def g_value(p: int) -> Fraction:
 
 
 def density_constant(pair: CongruencePair) -> Fraction:
-    """c(q1, q2) = (1 / q1 q2) prod_{p | q} (1 - g(p))^-1, exact."""
-    violation = _find_violation(pair)
-    if violation is not None:
-        a1, c1, q = violation
+    """c(q1, q2) = (1 / q1 q2) prod_{p | q} (1 - g(p))^-1, exact.
+
+    The one pass over the primes ell | q = lcm(q1, q2) also decides
+    admissibility.  By CRT the lifts a1 = a0 + i q1, c1 = c0 + j q2 mod q
+    run independently mod each ell, and ell divides q1 or q2, so a or c is
+    fixed mod ell and listing the roots (a, c) mod ell of a^2 + c^4 costs
+    O(ell).  An ell that does not divide q1 divides q / q1, so i runs over
+    every residue mod ell and first reaches a at i = (a - a0) q1^-1 mod ell;
+    likewise j for c, and 0 on the fixed side.  The least (i, j) over every
+    ell is then the first lift, a1 outer and c1 inner, that the refusal
+    names.
+    """
+    q = math.lcm(pair.q1, pair.q2)
+    out = Fraction(1, pair.q1 * pair.q2)
+    lifts = []
+    for ell in _prime_divisors(q):
+        inv1 = 0 if pair.q1 % ell == 0 else pow(pair.q1, -1, ell)
+        inv2 = 0 if pair.q2 % ell == 0 else pow(pair.q2, -1, ell)
+        lifts.extend(
+            ((a - pair.a0) * inv1 % ell, (c - pair.c0) * inv2 % ell)
+            for a in _residues(pair.a0, pair.q1, ell)
+            for c in _residues(pair.c0, pair.q2, ell)
+            if (a * a + c**4) % ell == 0
+        )
+        out /= 1 - g_value(ell)
+    if lifts:
+        i, j = min(lifts)
+        a1, c1 = pair.a0 + i * pair.q1, pair.c0 + j * pair.q2
         raise Refusal(
             f"pair is not admissible: {a1}^2 + {c1}^4 = "
             f"{(a1 * a1 + c1**4) % q} mod {q} is not invertible"
         )
-    q = math.lcm(pair.q1, pair.q2)
-    out = Fraction(1, pair.q1 * pair.q2)
-    for ell in _prime_divisors(q):
-        out /= 1 - g_value(ell)
     return out
 
 

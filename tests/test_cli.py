@@ -373,21 +373,39 @@ def test_density_refuses_inadmissible_pair(capsys):
     )
     assert code == 3
     assert "not invertible" in err
+    # a class that is not one is refused with the record's own reason
+    for a0, q1, why in (("16", "16", "residues must satisfy 0 <= a0 < q1, 0 <= c0 < q2"),
+                        ("0", "0", "moduli must be >= 1")):
+        code, out, err = run(
+            capsys,
+            ["density", "--limit", "1000", "--a0", a0, "--q1", q1, "--c0", "0", "--q2", "4"],
+        )
+        assert (code, out, err) == (3, "", f"refused: {why}\n")
 
 
-@pytest.mark.parametrize("limit", ["300000000", "10000000000"])
-def test_density_refuses_inadmissible_pair_before_any_walk(capsys, monkeypatch, limit):
+@pytest.mark.parametrize(
+    "limit, pair_args, lift",
+    [
+        ("300000000", ("2", "15", "1", "3"), "2^2 + 1^4 = 5 mod 15"),
+        ("10000000000", ("2", "15", "1", "3"), "2^2 + 1^4 = 5 mod 15"),
+        # moduli at the cap: q = 9999 * 9998 has about 10^8 lifts
+        ("10000000000", ("2", "9999", "1", "9998"), "2^2 + 99981^4 = 34383127 mod 99970002"),
+    ],
+    ids=["300000000", "10000000000", "modulus-cap"],
+)
+def test_density_refuses_inadmissible_pair_before_any_walk(capsys, monkeypatch, limit,
+                                                           pair_args, lift):
     def no_walk(x, pair):
         raise AssertionError("a row was walked before the refusal")
 
     monkeypatch.setattr(sievecounts, "prime_rows", no_walk)
+    a0, q1, c0, q2 = pair_args
     code, out, err = run(
         capsys,
-        ["density", "--limit", limit, "--a0", "2", "--q1", "15",
-         "--c0", "1", "--q2", "3"],
+        ["density", "--limit", limit, "--a0", a0, "--q1", q1, "--c0", c0, "--q2", q2],
     )
     assert (code, out) == (3, "")
-    assert err == "refused: pair is not admissible: 2^2 + 1^4 = 5 mod 15 is not invertible\n"
+    assert err == f"refused: pair is not admissible: {lift} is not invertible\n"
 
 
 def test_density_refuses_tiny_limit(capsys):

@@ -29,7 +29,11 @@ from sixteenrank.sievecounts import _X_LIMIT, TRIVIAL_PAIR, prime_rows
 
 
 def is_admissible(pair):
-    return sievecounts._find_violation(pair) is None
+    try:
+        density_constant(pair)
+    except Refusal:
+        return False
+    return True
 
 
 def brute_counts(x, pair):
@@ -295,6 +299,13 @@ def pairs_up_to_60(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(pairs_up_to_60())
+# the first lift is at j = 1: 0^2 + 16^4 = 16 mod 30
+@example(CongruencePair(0, 2, 1, 15))
+# the first lift is at i = 1: 1^2 + 1^4 = 2 mod 30
+@example(CongruencePair(0, 1, 1, 30))
+# ell = 3 offers i = 2 and ell = 5 offers i = 1, so the least over every
+# prime wins: 5^2 + 0^4 = 25 mod 60
+@example(CongruencePair(1, 4, 0, 30))
 def test_admissibility_matches_walk_of_every_lift(pair):
     violation = brute_violation(pair)
     assert is_admissible(pair) == (violation is None)
