@@ -32,7 +32,8 @@ VERIFY_CSV_200 = (
 # every byte each command writes, per format (test_verify_csv_golden holds
 # verify at 200 as CSV): verify at a limit with no prime (header only,
 # "rows": []) and one with null and false cells; unit in each congruence
-# case, and at 73, which is not of the form a^2 + c^4
+# case, and at 73, which is not of the form a^2 + c^4; density over the 16
+# canonical classes, and over one class given by its pair
 GOLDEN = {
     "verify --limit 3 --format text": (
         "primes p = a^2 + c^4 <= 3 (c even): 0\n"
@@ -231,6 +232,102 @@ GOLDEN = {
         "  ],\n"
         '  "prediction_match": true\n'
         "}\n"
+    ),
+    "density --limit 100000 --format text": (
+        "X = 100000\n"
+        "  a0   q1   c0   q2   lattice  distinct       expected    ratio\n"
+        "   1   16    0    4        62        31          67.94   0.9125\n"
+        "   1   16    2    4        78        39          67.94   1.1480\n"
+        "   3   16    0    4        66        33          67.94   0.9714\n"
+        "   3   16    2    4        78        39          67.94   1.1480\n"
+        "   5   16    0    4        76        38          67.94   1.1186\n"
+        "   5   16    2    4        72        36          67.94   1.0597\n"
+        "   7   16    0    4        78        39          67.94   1.1480\n"
+        "   7   16    2    4        80        40          67.94   1.1774\n"
+        "   9   16    0    4        78        39          67.94   1.1480\n"
+        "   9   16    2    4        80        40          67.94   1.1774\n"
+        "  11   16    0    4        76        38          67.94   1.1186\n"
+        "  11   16    2    4        72        36          67.94   1.0597\n"
+        "  13   16    0    4        66        33          67.94   0.9714\n"
+        "  13   16    2    4        78        39          67.94   1.1480\n"
+        "  15   16    0    4        62        31          67.94   0.9125\n"
+        "  15   16    2    4        78        39          67.94   1.1480\n"
+    ),
+    "density --limit 100000 --format csv": (
+        "a0,q1,c0,q2,X,lattice_count,distinct_count,expected,ratio\n"
+        "1,16,0,4,100000,62,31,67.94467163804804,0.9125071695140976\n"
+        "1,16,2,4,100000,78,39,67.94467163804804,1.147992890679026\n"
+        "3,16,0,4,100000,66,33,67.94467163804804,0.9713785998053297\n"
+        "3,16,2,4,100000,78,39,67.94467163804804,1.147992890679026\n"
+        "5,16,0,4,100000,76,38,67.94467163804804,1.11855717553341\n"
+        "5,16,2,4,100000,72,36,67.94467163804804,1.059685745242178\n"
+        "7,16,0,4,100000,78,39,67.94467163804804,1.147992890679026\n"
+        "7,16,2,4,100000,80,40,67.94467163804804,1.1774286058246421\n"
+        "9,16,0,4,100000,78,39,67.94467163804804,1.147992890679026\n"
+        "9,16,2,4,100000,80,40,67.94467163804804,1.1774286058246421\n"
+        "11,16,0,4,100000,76,38,67.94467163804804,1.11855717553341\n"
+        "11,16,2,4,100000,72,36,67.94467163804804,1.059685745242178\n"
+        "13,16,0,4,100000,66,33,67.94467163804804,0.9713785998053297\n"
+        "13,16,2,4,100000,78,39,67.94467163804804,1.147992890679026\n"
+        "15,16,0,4,100000,62,31,67.94467163804804,0.9125071695140976\n"
+        "15,16,2,4,100000,78,39,67.94467163804804,1.147992890679026\n"
+    ),
+    "density --limit 100000 --format json": (
+        '{\n  "X": 100000,\n  "rows": [\n    {\n      "a0": 1,\n      "q1": 16,\n'
+        '      "c0": 0,\n      "q2": 4,\n      "X": 100000,\n      "lattice_count": 62,\n'
+        '      "distinct_count": 31,\n      "expected": 67.94467163804804,\n'
+        '      "ratio": 0.9125071695140976\n    },\n    {\n      "a0": 1,\n'
+        '      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n      "X": 100000,\n'
+        '      "lattice_count": 78,\n      "distinct_count": 39,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.147992890679026\n    },\n'
+        '    {\n      "a0": 3,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 66,\n      "distinct_count": 33,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 0.9713785998053297\n    },\n'
+        '    {\n      "a0": 3,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 78,\n      "distinct_count": 39,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.147992890679026\n    },\n'
+        '    {\n      "a0": 5,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 76,\n      "distinct_count": 38,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.11855717553341\n    },\n'
+        '    {\n      "a0": 5,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 72,\n      "distinct_count": 36,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.059685745242178\n    },\n'
+        '    {\n      "a0": 7,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 78,\n      "distinct_count": 39,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.147992890679026\n    },\n'
+        '    {\n      "a0": 7,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 80,\n      "distinct_count": 40,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.1774286058246421\n    },\n'
+        '    {\n      "a0": 9,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 78,\n      "distinct_count": 39,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.147992890679026\n    },\n'
+        '    {\n      "a0": 9,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 80,\n      "distinct_count": 40,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.1774286058246421\n    },\n'
+        '    {\n      "a0": 11,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 76,\n      "distinct_count": 38,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.11855717553341\n    },\n'
+        '    {\n      "a0": 11,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 72,\n      "distinct_count": 36,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.059685745242178\n    },\n'
+        '    {\n      "a0": 13,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 66,\n      "distinct_count": 33,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 0.9713785998053297\n    },\n'
+        '    {\n      "a0": 13,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 78,\n      "distinct_count": 39,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.147992890679026\n    },\n'
+        '    {\n      "a0": 15,\n      "q1": 16,\n      "c0": 0,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 62,\n      "distinct_count": 31,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 0.9125071695140976\n    },\n'
+        '    {\n      "a0": 15,\n      "q1": 16,\n      "c0": 2,\n      "q2": 4,\n'
+        '      "X": 100000,\n      "lattice_count": 78,\n      "distinct_count": 39,\n'
+        '      "expected": 67.94467163804804,\n      "ratio": 1.147992890679026\n    }\n'
+        "  ]\n}\n"
+    ),
+    "density --limit 100000 --a0 1 --q1 16 --c0 0 --q2 4 --format text": (
+        "X = 100000\n"
+        "  a0   q1   c0   q2   lattice  distinct       expected    ratio\n"
+        "   1   16    0    4        62        31          67.94   0.9125\n"
     ),
 }
 

@@ -465,5 +465,7 @@ def test_report_ratio_modes():
 
 
 def test_default_report_covers_canonical_classes():
-    rep = count_report(5000)
+    rep = count_report(10**6)
     assert tuple(r.pair for r in rep.rows) == canonical_pairs()
+    # each prime of a canonical class is the two lattice points (a, c), (a, -c)
+    assert all(r.lattice_count == 2 * r.distinct_count > 0 for r in rep.rows)
