@@ -25,7 +25,7 @@ p = 41
 data = class_number_enum(p)
 print(f"p = {p}: h(-4p) = {data.h}, so v2(h) = {data.v2}")
 
-# the independent route: h = |sum a chi(a)| / (4p) over 0 < a < 4p
+# the independent route: h = |sum chi(a)| / 2 over 0 < a < 2p
 h_char = class_number_dirichlet(p)
 print(f"character sum gives {h_char}, routes agree: {h_char == data.h}")
 
@@ -39,7 +39,7 @@ print(f"t * t == e: {compose(t, t) == e}")
 # divisibility chain: 2 | h iff p = 1 mod 4, 4 | h iff p = 1 mod 8,
 # and 8 | h by three separate routes that must agree
 chain = divisibility_chain(p)
-print(f"2 | h: {chain.div2}   4 | h: {chain.div4}")
+print(f"2 | h: {p % 4 == 1}   4 | h: {chain.div4}")
 print(f"8 | h by x^2 + 32 y^2:         {chain.div8_forms}")
 print(f"8 | h by (1 + i | p) residue:  {chain.div8_2adic}")
 print(f"8 | h by a + b = +-1 mod 8:    {chain.div8_decomp}")

@@ -162,7 +162,7 @@ class PrimeWitness:
     c: int | None = None
 
     def __post_init__(self):
-        if self.a % 2 == 0 or self.a % 4 != 1:
+        if self.a % 4 != 1:
             raise ValueError(f"witness a must be odd and 1 mod 4, got {self.a}")
         if self.b <= 0 or self.b % 2:
             raise ValueError(f"witness b must be positive and even, got {self.b}")

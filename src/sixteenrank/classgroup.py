@@ -275,9 +275,8 @@ def compose(f: QForm, g: QForm) -> QForm:
 
 @dataclass(frozen=True)
 class Div8Chain:
-    """The 2 | h, 4 | h, and three-route 8 | h answers for one prime."""
+    """The 4 | h and three-route 8 | h answers for one prime p = 1 mod 4."""
 
-    div2: bool
     div4: bool
     div8_forms: bool
     div8_2adic: bool
@@ -285,16 +284,16 @@ class Div8Chain:
 
 
 def divisibility_chain(p: int) -> Div8Chain:
-    """Evaluate the 2, 4, 8 divisibility criteria for h(-4p).
+    """Evaluate the 4 and 8 divisibility criteria for h(-4p).
 
-    2 | h iff p = 1 mod 4; 4 | h iff p = 1 mod 8; 8 | h three ways:
-    p = x^2 + 32 y^2, and for p = 1 mod 8 the (1 + i | p) residue test
-    and a + b = +-1 mod 8 on the two-square witness.  The three agree.
+    p must be a prime = 1 mod 4, so 2 | h; 4 | h iff p = 1 mod 8; 8 | h
+    three ways: p = x^2 + 32 y^2, and for p = 1 mod 8 the (1 + i | p)
+    residue test and a + b = +-1 mod 8 on the two-square witness.  The
+    three agree.
     """
     w = decompose_two_squares(p)  # refuses p unless a prime = 1 mod 4
     div4 = p % 8 == 1
     return Div8Chain(
-        div2=p % 4 == 1,
         div4=div4,
         div8_forms=represent_x2_32y2(p) is not None,
         div8_2adic=div4 and one_plus_i_is_square(p),

@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--q1", type=int)
     p_density.add_argument("--c0", type=int)
     p_density.add_argument("--q2", type=int)
-    p_density.add_argument("--mode", choices=["lattice", "distinct"],
-                           default="lattice")
 
     p_unit = sub.add_parser("unit", help="fundamental unit and congruences")
     p_unit.add_argument("--p", type=int, required=True)
@@ -316,7 +314,7 @@ def main(argv=None) -> int:
             text = render_verify(report, args.format)
         elif args.command == "density":
             pair = _parse_pair(args)
-            report = count_report(args.limit, None if pair is None else [pair], args.mode)
+            report = count_report(args.limit, None if pair is None else [pair])
             text = render_density(report, args.format)
         else:
             report = cmd_unit(args.p)

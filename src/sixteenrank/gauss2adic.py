@@ -33,13 +33,13 @@ mod M^5 by c' mod 2, i.e. by c mod 4.  Squaring maps 1 + M^k onto
 1 + M^(k+2), so sqrt(pi) mod M^5 is fixed by pi mod M^7; that is why
 sixteen_divides lifts to precision 7 (at 6 the root is known only mod
 M^4).  At precision 7 the coordinates are kept mod 16, and those of pi
-are s*a and s*c^2 mod 16, with the sign s fixed by a + c^2 mod 8 and
-c^2 mod 16 by c mod 4.  So the 2-adic verdict is a function of
-(a mod 16, c mod 4), and checking it against the table on one witness
-per residue pair covers every prime.  The witnesses have a = 1 mod 4
-and c > 0, as decompose_two_squares builds them; this loses nothing,
-since the table is invariant under a -> -a and c -> -c, and
-{1, 5, 9, 13} with its negatives is every odd residue mod 16.
+are a and c^2 mod 16, with c^2 mod 16 fixed by c mod 4.  So the 2-adic
+verdict is a function of (a mod 16, c mod 4), and checking it against
+the table on one witness per residue pair covers every prime.  The
+witnesses have a = 1 mod 4 and c > 0, as decompose_two_squares builds
+them; this loses nothing, since the table is invariant under a -> -a
+and c -> -c, and {1, 5, 9, 13} with its negatives is every odd residue
+mod 16.
 """
 
 from __future__ import annotations
@@ -199,21 +199,18 @@ def is_square_unit(z: Dyadic) -> bool:
 
 
 def normalize_pi(w: PrimeWitness) -> GaussInt:
-    """The Gaussian prime s*(a + bi) over w with s*(a + b) = 1 mod 8.
+    """The Gaussian prime pi = a + bi over w, refused unless pi = 1 mod M^5.
 
-    This is the unique sign making pi = 1 mod M^5, and it exists exactly
-    when a + b = +-1 mod 8, the congruence equivalent to 8 | h.
+    The witness has a = 1 mod 4, so once b = 0 mod 4 the sum a + b is 1 or
+    5 mod 8, and pi = 1 mod M^5 exactly when a + b = 1 mod 8, the
+    congruence equivalent to 8 | h.
     """
     if w.b % 4 != 0:
         raise Refusal(f"p = {w.p} is 5 mod 8; the even part b = {w.b} is not 0 mod 4")
     r = (w.a + w.b) % 8
-    if r == 1:
-        s = 1
-    elif r == 7:
-        s = -1
-    else:
+    if r != 1:
         raise Refusal(f"a + b = {r} mod 8 for p = {w.p}: 8 does not divide h")
-    pi = GaussInt(s * w.a, s * w.b)
+    pi = GaussInt(w.a, w.b)
     assert exact_m_valuation(pi - GaussInt(1, 0)) >= 5
     return pi
 

@@ -333,7 +333,8 @@ def expected_main_term(x: int, pair: CongruencePair) -> float:
 
 @dataclass(frozen=True)
 class ClassCount:
-    """Counts for one congruence class at one X; ratio is count/expected."""
+    """Counts for one congruence class at one X.  ratio is lattice_count /
+    expected; in a canonical class it is twice distinct_count / expected."""
 
     pair: CongruencePair
     lattice_count: int
@@ -350,10 +351,8 @@ class CountReport:
     rows: tuple[ClassCount, ...]
 
 
-def count_report(x: int, pairs=None, ratio_mode: str = "lattice") -> CountReport:
+def count_report(x: int, pairs=None) -> CountReport:
     """Build a CountReport over the given pairs (default: the 16 classes)."""
-    if ratio_mode not in ("lattice", "distinct"):
-        raise Refusal(f"ratio_mode must be 'lattice' or 'distinct', got {ratio_mode!r}")
     pairs = canonical_pairs() if pairs is None else tuple(pairs)
     _check_x(x)
     # each main term checks its pair, so an inadmissible pair is refused
@@ -363,14 +362,13 @@ def count_report(x: int, pairs=None, ratio_mode: str = "lattice") -> CountReport
     for pair, expected in zip(pairs, main_terms):
         lattice = count_primes(x, pair, "lattice")
         distinct = count_primes(x, pair, "distinct")
-        basis = lattice if ratio_mode == "lattice" else distinct
         rows.append(
             ClassCount(
                 pair=pair,
                 lattice_count=lattice,
                 distinct_count=distinct,
                 expected=expected,
-                ratio=basis / expected,
+                ratio=lattice / expected,
             )
         )
     return CountReport(x=x, rows=tuple(rows))

@@ -445,17 +445,6 @@ def test_density_matches_library(capsys):
     assert out == render_density(report, "csv")
 
 
-def test_density_mode_flag(capsys):
-    args = ["density", "--limit", "20000", "--a0", "1", "--q1", "16",
-            "--c0", "0", "--q2", "4", "--format", "json"]
-    _, lattice_out, _ = run(capsys, args)
-    _, distinct_out, _ = run(capsys, args + ["--mode", "distinct"])
-    lat = json.loads(lattice_out)["rows"][0]
-    dis = json.loads(distinct_out)["rows"][0]
-    assert lat["ratio"] == lat["lattice_count"] / lat["expected"]
-    assert dis["ratio"] == dis["distinct_count"] / dis["expected"]
-
-
 def test_density_refuses_partial_pair(capsys):
     code, _, err = run(capsys, ["density", "--limit", "1000", "--a0", "1"])
     assert code == 3
@@ -470,9 +459,11 @@ def test_density_refuses_inadmissible_pair(capsys):
     )
     assert code == 3
     assert "not invertible" in err
-    # a class that is not one is refused with the record's own reason
+    # a class that is not one is refused with the record's own reason, and
+    # a modulus above the command's budget before any class is built
     for a0, q1, why in (("16", "16", "residues must satisfy 0 <= a0 < q1, 0 <= c0 < q2"),
-                        ("0", "0", "moduli must be >= 1")):
+                        ("0", "0", "moduli must be >= 1"),
+                        ("0", "10001", "moduli budget is q1, q2 <= 10000")):
         code, out, err = run(
             capsys,
             ["density", "--limit", "1000", "--a0", a0, "--q1", q1, "--c0", "0", "--q2", "4"],
@@ -556,6 +547,9 @@ def test_unit_refusal(capsys):
     code, _, err = run(capsys, ["unit", "--p", "13"])
     assert code == 3
     assert "1 mod 8" in err
+    # the least prime = 1 mod 8 above the unit budget
+    code, out, err = run(capsys, ["unit", "--p", "10000121"])
+    assert (code, out, err) == (3, "", "refused: unit budget is p <= 10000000, got 10000121\n")
 
 
 def test_usage_errors_exit_two():
@@ -567,6 +561,9 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["unit"])  # --p is required
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--limit", "1000", "--mode", "distinct"])  # no such option
     assert exc.value.code == 2
 
 

@@ -70,8 +70,9 @@ def test_fundamental_unit_refusals():
         fundamental_unit(13)  # 5 mod 8
     with pytest.raises(Refusal):
         fundamental_unit(7)
-    with pytest.raises(Refusal):
-        fundamental_unit(10**7 + 19)  # past the budget
+    # the least prime = 1 mod 8 above 10^7
+    with pytest.raises(Refusal, match="unit budget"):
+        fundamental_unit(10_000_121)
 
 
 def test_williams_worked_chain():
