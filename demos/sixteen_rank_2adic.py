@@ -32,7 +32,7 @@ print(f"p = {p} = {w.a}^2 + {w.b}^2, with b = c^2 for c = {w.c}")
 pi = normalize_pi(w)
 print(f"normalized Gaussian prime pi = {pi}  (chosen so pi = 1 mod m^5)")
 
-# square root by brute 2-adic lifting
+# square root by 2-adic lifting, one m-adic digit per step
 root = hensel_sqrt(pi, 7)
 print(f"sqrt(pi) mod m^7 = {root}")
 print(f"check: root^2 == pi mod m^7: {root * root == Dyadic.from_gauss(pi, 7)}")

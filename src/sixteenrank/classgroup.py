@@ -288,8 +288,9 @@ def divisibility_chain(p: int) -> Div8Chain:
 
     p must be a prime = 1 mod 4, so 2 | h; 4 | h iff p = 1 mod 8; 8 | h
     three ways: p = x^2 + 32 y^2, and for p = 1 mod 8 the (1 + i | p)
-    residue test and a + b = +-1 mod 8 on the two-square witness.  The
-    three agree.
+    residue test and a + b = 1 mod 8 on the two-square witness.  The
+    three agree.  The witness has a = 1 mod 4, and b = 0 mod 4 when
+    p = 1 mod 8, so a + b is 1 or 5 mod 8 and never 7.
     """
     w = decompose_two_squares(p)  # refuses p unless a prime = 1 mod 4
     div4 = p % 8 == 1
@@ -297,5 +298,5 @@ def divisibility_chain(p: int) -> Div8Chain:
         div4=div4,
         div8_forms=represent_x2_32y2(p) is not None,
         div8_2adic=div4 and one_plus_i_is_square(p),
-        div8_decomp=div4 and (w.a + w.b) % 8 in (1, 7),
+        div8_decomp=div4 and (w.a + w.b) % 8 == 1,
     )

@@ -220,11 +220,14 @@ def hensel_sqrt(pi: GaussInt, precision: int) -> Dyadic:
 
     pi must be = 1 mod M^5 (then it is a square and the two roots are
     +-s with s = 1 mod M^3; -s = -1 mod M^3 is excluded since v(2) = 2).
-    The lift is a brute-force digit search: starting from s = 1, which
-    already satisfies s^2 = pi mod M^5, each step tries the four residue
-    corrections {0, m^(k-2), m^(k-1), m^(k-2) + m^(k-1)} and keeps one
-    that pushes s^2 - pi into M^(k+2).  One of the four always works:
-    the true root differs from s by an element of valuation >= k - 2.
+    The lift fixes one digit per step: starting from s = 1, which already
+    satisfies s^2 = pi mod M^5, whenever s^2 - pi has valuation exactly k
+    (5 <= k < precision) it adds m^(k-2).  That works because 2 s m^(k-2)
+    has valuation exactly k, the residue field is F_2, and m^(2k-4) lies
+    in M^(k+1) once k >= 5.  So s = 1 + sum of e_j m^j with e_j in {0, 1}
+    and 3 <= j <= precision - 3, and s^2 = pi mod M^precision fixes s mod
+    M^(precision-2), hence every e_j: the coordinates returned are those
+    of that one root, however the digits are found.
     """
     if not 3 <= precision <= _MAX_PRECISION:
         raise Refusal(f"precision must lie in [3, {_MAX_PRECISION}], got {precision}")
@@ -232,19 +235,9 @@ def hensel_sqrt(pi: GaussInt, precision: int) -> Dyadic:
         raise Refusal(f"hensel_sqrt needs pi = 1 mod M^5, got {pi}")
     target = Dyadic.from_gauss(pi, precision)
     s = Dyadic.one(precision)
-    k = 5
-    while k < precision:
-        step_goal = min(k + 2, precision)
-        e1 = m_power(k - 2, precision)
-        e2 = m_power(k - 1, precision)
-        for e in (None, e1, e2, e1 + e2):
-            cand = s if e is None else s + e
-            if m_valuation(cand * cand - target) >= step_goal:
-                break
-        else:
-            raise AssertionError("square-root lift failed, input violates M^5 premise")
-        s = cand
-        k = step_goal
+    for k in range(5, precision):
+        if m_valuation(s * s - target) == k:
+            s = s + m_power(k - 2, precision)
     assert m_valuation(s * s - target) >= precision
     return s
 
@@ -260,7 +253,7 @@ def omega0(w: PrimeWitness, sqrt_pi: Dyadic) -> Dyadic:
 def sixteen_divides(w: PrimeWitness) -> bool:
     """Whether 16 | h for the field of discriminant -4p, p = a^2 + c^4.
 
-    Requires 8 | h (a + b = +-1 mod 8) and c present; refuses otherwise.
+    Requires 8 | h (a + b = 1 mod 8) and c present; refuses otherwise.
     """
     s = hensel_sqrt(normalize_pi(w), 7)
     return is_square_unit(omega0(w, s))  # omega0 refuses a missing c

@@ -22,7 +22,7 @@ from sixteenrank import (
     sixteen_divides,
     sixteen_rank_case,
 )
-from sixteenrank.gauss2adic import exact_m_valuation, m_power
+from sixteenrank.gauss2adic import _MAX_PRECISION, exact_m_valuation, m_power
 
 
 def v2(n: int) -> int:
@@ -145,13 +145,60 @@ def random_pi_one_mod_m5(rng):
 def test_hensel_sqrt_squares_back():
     rng = random.Random(17)
     for _ in range(120):
-        prec = rng.randrange(3, 41)
+        prec = rng.randrange(3, _MAX_PRECISION + 1)
         pi = random_pi_one_mod_m5(rng)
         s = hensel_sqrt(pi, prec)
         target = Dyadic.from_gauss(pi, prec)
         assert m_valuation(s * s - target) >= prec
         if prec >= 3:
             assert m_valuation(s - Dyadic.one(prec)) >= min(3, prec)
+
+
+def four_way_sqrt(pi, precision):
+    """Reference lift: try the four corrections of two digits at a time."""
+    target = Dyadic.from_gauss(pi, precision)
+    s = Dyadic.one(precision)
+    k = 5
+    while k < precision:
+        goal = min(k + 2, precision)
+        e1, e2 = m_power(k - 2, precision), m_power(k - 1, precision)
+        s = next(
+            cand for cand in (s, s + e1, s + e2, s + e1 + e2)
+            if m_valuation(cand * cand - target) >= goal
+        )
+        k = goal
+    return s
+
+
+def residue_witnesses():
+    # every witness shape with 8 | h: a = 1 mod 4 in (-256, 256), c even in
+    # [2, 128], a + c^2 = +-1 mod 8; p need not be prime
+    return [
+        PrimeWitness(p=a * a + c**4, a=a, b=c * c, c=c)
+        for a in range(-255, 256, 4)
+        for c in range(2, 129, 2)
+        if (a + c * c) % 8 in (1, 7)
+    ]
+
+
+def test_hensel_sqrt_matches_four_way_search_coordinates():
+    # s^2 = pi mod M^precision leaves the digits of s at m^(precision-2)
+    # and m^(precision-1) free; both lifts leave them 0, so the returned
+    # coordinates, not just the roots mod M^(precision-2), must agree.
+    # Seeded random pi go through every precision 3 .. 64; the 4,096
+    # residue witnesses' pi take one precision each, cycling through
+    # 3 .. 19 (a lift costs about k^2 at precision k; sixteen_divides
+    # lifts to 7)
+    rng = random.Random(23)
+    cases = [
+        (random_pi_one_mod_m5(rng), prec)
+        for _ in range(10)
+        for prec in range(3, _MAX_PRECISION + 1)
+    ]
+    cases += [(normalize_pi(w), 3 + i % 17) for i, w in enumerate(residue_witnesses())]
+    for pi, prec in cases:
+        s, ref = hensel_sqrt(pi, prec), four_way_sqrt(pi, prec)
+        assert (s.x, s.y) == (ref.x, ref.y), (pi, prec)
 
 
 def test_hensel_sqrt_identity_input():
@@ -247,16 +294,9 @@ def two_adic_verdict(w, precision):
 
 
 def test_two_adic_route_matches_congruence_table_on_every_residue():
-    # every witness shape with 8 | h: a = 1 mod 4 in (-256, 256), c even in
-    # [2, 128], a + c^2 = +-1 mod 8; p need not be prime.  At precision 7
-    # the verdict reads only (a mod 16, c mod 4) (see the gauss2adic
-    # docstring), so agreement here is agreement on every prime
-    witnesses = [
-        PrimeWitness(p=a * a + c**4, a=a, b=c * c, c=c)
-        for a in range(-255, 256, 4)
-        for c in range(2, 129, 2)
-        if (a + c * c) % 8 in (1, 7)
-    ]
+    # at precision 7 the verdict reads only (a mod 16, c mod 4) (see the
+    # gauss2adic docstring), so agreement here is agreement on every prime
+    witnesses = residue_witnesses()
     assert len(witnesses) == 4096
     table = [sixteen_rank_case(w.a, w.c) is RankCase.DIV16 for w in witnesses]
     assert sum(table) == 2048
