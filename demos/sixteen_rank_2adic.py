@@ -12,8 +12,9 @@ Run:  python3 demos/sixteen_rank_2adic.py
 """
 
 from sixteenrank import (
-    Dyadic,
+    GaussInt,
     class_number_enum,
+    congruent,
     decompose_two_squares,
     hensel_sqrt,
     is_square_unit,
@@ -35,12 +36,12 @@ print(f"normalized Gaussian prime pi = {pi}  (chosen so pi = 1 mod m^5)")
 # square root by 2-adic lifting, one m-adic digit per step
 root = hensel_sqrt(pi, 7)
 print(f"sqrt(pi) mod m^7 = {root}")
-print(f"check: root^2 == pi mod m^7: {root * root == Dyadic.from_gauss(pi, 7)}")
+print(f"check: root^2 == pi mod m^7: {congruent(root * root, pi, 7)}")
 
 # the square-unit test asks for w0 = +-1 mod m^5, i.e. one of
 # v(w0 - 1) >= 5 or v(w0 + 1) >= 5
 w0 = omega0(w, root)
-one = Dyadic.one(w0.precision)
+one = GaussInt(1, 0)
 print(f"w0 = c(1+i) + sqrt(pi) = {w0}")
 print(f"v(w0 - 1) = {m_valuation(w0 - one)}, v(w0 + 1) = {m_valuation(w0 + one)}")
 print(f"w0 is a square unit: {is_square_unit(w0)}")

@@ -28,7 +28,6 @@ from .classgroup import (
 )
 from .errors import Refusal
 from .gauss2adic import (
-    Dyadic,
     GaussInt,
     RankCase,
     congruent,
@@ -70,7 +69,6 @@ __all__ = [
     "CongruencePair",
     "CountReport",
     "Div8Chain",
-    "Dyadic",
     "GaussInt",
     "PellUnit",
     "PrimeWitness",

@@ -1,4 +1,4 @@
-"""Truncated 2-adic arithmetic in Z_2[i] and the 16 | h criterion.
+"""2-adic arithmetic in Z_2[i] on exact Gaussian integers, and the 16 | h criterion.
 
 Z_2[i] is local with uniformizer m = 1 + i; write M for the maximal
 ideal (m).  The residue field is F_2, v(2) = 2, and for z = x + iy the
@@ -11,11 +11,8 @@ u = 1 mod M^3, and for a unit w:
 Squaring maps the principal units 1 + M^k isomorphically onto 1 + M^(k+2)
 for k >= 3, which is what makes square roots liftable digit by digit.
 
-Truncation: an element known mod M^K is stored as a coordinate pair mod
-2^J with J = ceil(K/2).  Since M^K = 2^(K//2) * (M if K odd else (1)),
-membership in M^k for k <= K is decidable from the stored coordinates;
-comparing coordinates directly would be wrong at odd K, so equality is
-always defined through the valuation of the difference.
+Elements are exact Gaussian integers, which are dense in Z_2[i]; a
+result computed at precision K is claimed mod M^K only.
 
 The headline predicate: for a prime p = a^2 + c^4 (c even) with witness
 normalized so pi = a + c^2 i = 1 mod M^5, the class number h of the
@@ -32,8 +29,8 @@ omega0 mod M^5 only.  Write c = 2c'; then c(1 + i) = -i c' m^3, fixed
 mod M^5 by c' mod 2, i.e. by c mod 4.  Squaring maps 1 + M^k onto
 1 + M^(k+2), so sqrt(pi) mod M^5 is fixed by pi mod M^7; that is why
 sixteen_divides lifts to precision 7 (at 6 the root is known only mod
-M^4).  At precision 7 the coordinates are kept mod 16, and those of pi
-are a and c^2 mod 16, with c^2 mod 16 fixed by c mod 4.  So the 2-adic
+M^4).  Since 16 Z[i] = M^8, pi mod M^7 is fixed by its coordinates a and
+c^2 mod 16, with c^2 mod 16 fixed by c mod 4.  So the 2-adic
 verdict is a function of (a mod 16, c mod 4), and checking it against
 the table on one witness per residue pair covers every prime.  The
 witnesses have a = 1 mod 4 and c > 0, as decompose_two_squares builds
@@ -83,118 +80,32 @@ class GaussInt:
         return self.re * self.re + self.im * self.im
 
 
-def exact_m_valuation(z: GaussInt) -> int | float:
-    """m-adic valuation of an exact Gaussian integer (inf for 0)."""
+def m_valuation(z: GaussInt) -> int | float:
+    """m-adic valuation v(z) = v_2(N(z)) of a Gaussian integer (inf for 0)."""
     n = z.norm()
     return math.inf if n == 0 else _v2(n)
 
 
-@dataclass(frozen=True)
-class Dyadic:
-    """An element of Z_2[i] known mod M^precision.
-
-    Coordinates are reduced mod 2^J, J = ceil(precision/2).  Ring
-    operations require matching precision; equality is congruence mod
-    M^precision, so == can identify coordinate-distinct pairs at odd
-    precision and Dyadic is deliberately unhashable.
-    """
-
-    x: int
-    y: int
-    precision: int
-
-    def __post_init__(self):
-        if not 1 <= self.precision <= _MAX_PRECISION:
-            raise Refusal(f"precision must lie in [1, {_MAX_PRECISION}], got {self.precision}")
-        mod = 1 << self.j
-        object.__setattr__(self, "x", self.x % mod)
-        object.__setattr__(self, "y", self.y % mod)
-
-    @property
-    def j(self) -> int:
-        return (self.precision + 1) // 2
-
-    @classmethod
-    def from_gauss(cls, z: GaussInt, precision: int) -> "Dyadic":
-        return cls(z.re, z.im, precision)
-
-    @classmethod
-    def one(cls, precision: int) -> "Dyadic":
-        return cls(1, 0, precision)
-
-    def _check(self, other: "Dyadic"):
-        if self.precision != other.precision:
-            raise ValueError("precision mismatch")
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        self._check(other)
-        return Dyadic(self.x + other.x, self.y + other.y, self.precision)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        self._check(other)
-        return Dyadic(self.x - other.x, self.y - other.y, self.precision)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        self._check(other)
-        return Dyadic(
-            self.x * other.x - self.y * other.y,
-            self.x * other.y + self.y * other.x,
-            self.precision,
-        )
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.x, -self.y, self.precision)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dyadic):
-            return NotImplemented
-        self._check(other)
-        return m_valuation(self - other) >= self.precision
+def m_power(k: int) -> GaussInt:
+    """m^k = (1 + i)^k, as (2i)^(k//2) * (1 + i)^(k%2)."""
+    if not 0 <= k <= 2 * _MAX_PRECISION:
+        raise Refusal(f"m_power needs 0 <= k <= {2 * _MAX_PRECISION}, got {k}")
+    half = k // 2
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[half % 4]
+    z = GaussInt(re << half, im << half)
+    return z * GaussInt(1, 1) if k % 2 else z
 
 
-# congruence-based ==, so hashing by coordinates would be incoherent;
-# assigned after the decorator since dataclass(frozen=True) regenerates
-# __hash__ for any class body that defines __eq__
-Dyadic.__hash__ = None
-
-
-def m_power(k: int, precision: int) -> Dyadic:
-    """m^k = (1 + i)^k as a Dyadic at the given precision."""
-    if k < 0:
-        raise Refusal("m_power needs k >= 0")
-    z = GaussInt(1, 0)
-    m = GaussInt(1, 1)
-    for _ in range(min(k, 2 * precision)):
-        z = z * m
-    return Dyadic.from_gauss(z, precision)
-
-
-def m_valuation(z: Dyadic) -> int | float:
-    """m-adic valuation of z, or math.inf when z = 0 mod M^precision.
-
-    The stored pair differs from the true element by 2^J Z[i], which lies
-    in M^precision, so below the precision its exact valuation is the
-    element's.  Values >= precision are reported as inf because the
-    truncation cannot distinguish them.
-    """
-    v = exact_m_valuation(GaussInt(z.x, z.y))
-    return v if v < z.precision else math.inf
-
-
-def congruent(z1: Dyadic, z2: Dyadic, k: int) -> bool:
-    """Whether z1 = z2 mod M^k (k must not exceed the precision)."""
-    if k > min(z1.precision, z2.precision):
-        raise Refusal(f"congruence mod M^{k} exceeds working precision")
+def congruent(z1: GaussInt, z2: GaussInt, k: int) -> bool:
+    """Whether z1 = z2 mod M^k."""
     return m_valuation(z1 - z2) >= k
 
 
-def is_square_unit(z: Dyadic) -> bool:
+def is_square_unit(z: GaussInt) -> bool:
     """Whether the unit z is a square in Z_2[i] (test: z = +-1 mod M^5)."""
-    if z.precision < 5:
-        raise Refusal("square test needs precision >= 5")
-    if m_valuation(z) != 0:
+    if z.norm() % 2 == 0:
         raise Refusal("square test applies to units only")
-    one = Dyadic.one(z.precision)
+    one = GaussInt(1, 0)
     return congruent(z, one, 5) or congruent(z, -one, 5)
 
 
@@ -211,11 +122,11 @@ def normalize_pi(w: PrimeWitness) -> GaussInt:
     if r != 1:
         raise Refusal(f"a + b = {r} mod 8 for p = {w.p}: 8 does not divide h")
     pi = GaussInt(w.a, w.b)
-    assert exact_m_valuation(pi - GaussInt(1, 0)) >= 5
+    assert m_valuation(pi - GaussInt(1, 0)) >= 5
     return pi
 
 
-def hensel_sqrt(pi: GaussInt, precision: int) -> Dyadic:
+def hensel_sqrt(pi: GaussInt, precision: int) -> GaussInt:
     """The square root of pi that is = 1 mod M^3, to the given precision.
 
     pi must be = 1 mod M^5 (then it is a square and the two roots are
@@ -227,27 +138,29 @@ def hensel_sqrt(pi: GaussInt, precision: int) -> Dyadic:
     in M^(k+1) once k >= 5.  So s = 1 + sum of e_j m^j with e_j in {0, 1}
     and 3 <= j <= precision - 3, and s^2 = pi mod M^precision fixes s mod
     M^(precision-2), hence every e_j: the coordinates returned are those
-    of that one root, however the digits are found.
+    of that one root, however the digits are found.  They are reduced mod
+    2^J, J = ceil(precision/2); 2^J Z[i] lies in M^precision, so the
+    reduced root still squares to pi mod M^precision.
     """
     if not 3 <= precision <= _MAX_PRECISION:
         raise Refusal(f"precision must lie in [3, {_MAX_PRECISION}], got {precision}")
-    if exact_m_valuation(pi - GaussInt(1, 0)) < 5:
+    one = GaussInt(1, 0)
+    if m_valuation(pi - one) < 5:
         raise Refusal(f"hensel_sqrt needs pi = 1 mod M^5, got {pi}")
-    target = Dyadic.from_gauss(pi, precision)
-    s = Dyadic.one(precision)
+    s = one
     for k in range(5, precision):
-        if m_valuation(s * s - target) == k:
-            s = s + m_power(k - 2, precision)
-    assert m_valuation(s * s - target) >= precision
-    return s
+        if m_valuation(s * s - pi) == k:
+            s = s + m_power(k - 2)
+    assert m_valuation(s * s - pi) >= precision
+    mod = 1 << (precision + 1) // 2
+    return GaussInt(s.re % mod, s.im % mod)
 
 
-def omega0(w: PrimeWitness, sqrt_pi: Dyadic) -> Dyadic:
+def omega0(w: PrimeWitness, sqrt_pi: GaussInt) -> GaussInt:
     """c(1 + i) + sqrt(pi), the unit whose squareness decides 16 | h."""
     if w.c is None:
         raise Refusal(f"p = {w.p} is not of the form a^2 + c^4 (b is not a square)")
-    c_part = Dyadic.from_gauss(GaussInt(w.c, w.c), sqrt_pi.precision)
-    return c_part + sqrt_pi
+    return GaussInt(w.c, w.c) + sqrt_pi
 
 
 def sixteen_divides(w: PrimeWitness) -> bool:

@@ -35,9 +35,9 @@ def test_demo_runs_cleanly(script):
 SIXTEEN_RANK_2ADIC = """\
 p = 257 = 1^2 + 16^2, with b = c^2 for c = 4
 normalized Gaussian prime pi = GaussInt(re=1, im=16)  (chosen so pi = 1 mod m^5)
-sqrt(pi) mod m^7 = Dyadic(x=1, y=0, precision=7)
+sqrt(pi) mod m^7 = GaussInt(re=1, im=0)
 check: root^2 == pi mod m^7: True
-w0 = c(1+i) + sqrt(pi) = Dyadic(x=5, y=4, precision=7)
+w0 = c(1+i) + sqrt(pi) = GaussInt(re=5, im=4)
 v(w0 - 1) = 5, v(w0 + 1) = 2
 w0 is a square unit: True
 16 | h predicted: True;  actual h = 16, 16 | h: True

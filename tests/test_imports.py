@@ -1,4 +1,5 @@
-"""The package imports nothing at run time beyond the standard library and numpy."""
+"""The package imports nothing at run time beyond the standard library and
+numpy, and its `__all__` lists exactly the public names it imports."""
 
 import ast
 import sys
@@ -28,3 +29,16 @@ def test_sources_import_only_stdlib_and_numpy():
         if name not in allowed
     }
     assert outside == set()
+
+
+def test_all_lists_every_imported_public_name_once():
+    names = sixteenrank.__all__
+    assert [name for name in names if not hasattr(sixteenrank, name)] == []
+    assert names == sorted(set(names))
+    init = ast.parse(Path(sixteenrank.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for name in imported if not name.startswith("_")} <= set(names)
