@@ -1,5 +1,6 @@
 """Each script under demos/ runs to its end without writing to stderr, and
-the 2-adic demo's stdout is pinned byte for byte."""
+the stdout of the 2-adic, class-number and two-power demos is pinned byte
+for byte."""
 
 import os
 import subprocess
@@ -58,3 +59,54 @@ def test_sixteen_rank_2adic_demo_output():
     # the printed sqrt(pi) and w0 are coordinates, so this pins the lift's
     # exact root, not just its verdict
     assert run_demo(ROOT / "demos" / "sixteen_rank_2adic.py") == SIXTEEN_RANK_2ADIC
+
+
+CLASS_NUMBERS_WALKTHROUGH = """\
+p = 41: h(-4p) = 8, so v2(h) = 3
+character sum gives 8, routes agree: True
+principal form QForm(a=1, b=0, c=41), two-torsion form QForm(a=2, b=2, c=21)
+t * t == e: True
+2 | h: True   4 | h: True
+8 | h by x^2 + 32 y^2:         True
+8 | h by (1 + i | p) residue:  True
+8 | h by a + b = +-1 mod 8:    True
+
+the same chain across the first primes p = 1 mod 8:
+     p    h  v2   8|h
+    17    4   2 False
+    41    8   3  True
+    73    4   2 False
+    89   12   2 False
+    97    4   2 False
+   113    8   3  True
+   137    8   3  True
+   193    4   2 False
+   233   12   2 False
+   257   16   4  True
+"""
+
+
+def test_class_numbers_walkthrough_demo_output():
+    # pins the printed 8 | h chain, route by route
+    assert run_demo(ROOT / "demos" / "class_numbers_walkthrough.py") == CLASS_NUMBERS_WALKTHROUGH
+
+
+TWO_POWER_DENSITY = """\
+9592 primes below 100000; class numbers computed for the 1188 with 8 | h
+
+ k  2^k | h    share  2^k * share
+ 1     4783  0.49864        0.997
+ 2     2384  0.24854        0.994
+ 3     1188  0.12385        0.991
+ 4      605  0.06307        1.009
+ 5      300  0.03128        1.001
+
+share of 16 | h among the primes with 8 | h:
+  all primes:              605 of   1188 = 0.509
+  family a^2 + c^4:         70 of    145 = 0.483
+"""
+
+
+def test_two_power_density_demo_output():
+    # default N = 100000; pins the 2^k shares and the family's v2 verdicts
+    assert run_demo(ROOT / "demos" / "two_power_density.py") == TWO_POWER_DENSITY
