@@ -60,11 +60,10 @@ for k in range(1, TOP + 1):
 print()
 
 # the family: the congruence table's verdict must match the class number
-CASE = {3: RankCase.EXACTLY8, 4: RankCase.DIV16}
 deep = {RankCase.DIV16: 0, RankCase.EXACTLY8: 0}
 for p, a, c in form_witnesses(N - 1):
     case = sixteen_rank_case(a, c)
-    assert case is CASE.get(min(depth[p], 4), RankCase.NOT8), p
+    assert case is RankCase.of_v2(depth[p]), p
     if case in deep:
         deep[case] += 1
 

@@ -10,7 +10,6 @@ from .arith import (
     PrimeWitness,
     decompose_two_squares,
     is_prime,
-    one_plus_i_is_square,
     primes_up_to,
     represent_x2_32y2,
     sqrt_minus_one_mod_p,
@@ -97,7 +96,6 @@ __all__ = [
     "m_valuation",
     "normalize_pi",
     "omega0",
-    "one_plus_i_is_square",
     "predict_unit_congruences",
     "primes_up_to",
     "principal_form",

@@ -135,12 +135,10 @@ def sqrt_minus_one_mod_p(p: int) -> int:
     """The smaller square root r of -1 mod p (0 < r < p/2), p = 1 mod 4."""
     if p % 4 != 1 or not is_prime(p):
         raise Refusal(f"need a prime = 1 mod 4, got {p}")
-    # the least non-residue d is prime: a product of residues is a residue
+    # d^((p-1)/4) for the least non-residue d
     d = 2
     while pow(d, (p - 1) // 2, p) != p - 1:
         d += 1
-        while not is_prime(d):
-            d += 1
     r = pow(d, (p - 1) // 4, p)
     r = min(r, p - r)
     assert r * r % p == p - 1
@@ -206,16 +204,3 @@ def represent_x2_32y2(p: int) -> tuple[int, int] | None:
         if x * x == t:
             return (x, y)
     return None
-
-
-def one_plus_i_is_square(p: int) -> bool:
-    """Whether 1 + r is a square mod p, where r^2 = -1 mod p and p = 1 mod 8.
-
-    The answer does not depend on the choice of root: the two candidates
-    1 + r and 1 - r multiply to 2, a square mod any p = 1 mod 8.
-    A composite p = 1 mod 8 is refused by sqrt_minus_one_mod_p.
-    """
-    if p % 8 != 1:
-        raise Refusal(f"need a prime = 1 mod 8, got {p}")
-    r = sqrt_minus_one_mod_p(p)
-    return pow(1 + r, (p - 1) // 2, p) == 1

@@ -38,7 +38,6 @@ from .arith import (
     _v2,
     decompose_two_squares,
     is_prime,
-    one_plus_i_is_square,
     primes_up_to,
     represent_x2_32y2,
 )
@@ -62,15 +61,6 @@ class QForm:
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_reduced(self) -> bool:
-        # positive definite convention: -a < b <= a <= c, b >= 0 if a == c
-        return (
-            self.a > 0
-            and -self.a < self.b <= self.a <= self.c
-            and (self.b >= 0 or self.a != self.c)
-        )
 
     def reduced(self) -> "QForm":
         # Cohen, GTM 138, Alg. 5.4.2: shear b into (-a, a], then swap
@@ -291,12 +281,17 @@ def divisibility_chain(p: int) -> Div8Chain:
     residue test and a + b = 1 mod 8 on the two-square witness.  The
     three agree.  The witness has a = 1 mod 4, and b = 0 mod 4 when
     p = 1 mod 8, so a + b is 1 or 5 mod 8 and never 7.
+
+    The residue test asks whether 1 + r is a square mod p, r^2 = -1; the
+    root does not matter, as (1 + r)(1 - r) = 2 is a square mod p.  With
+    r = a/b mod p, 1 + r = (a + b) b / b^2, so Euler's criterion on
+    (a + b) b decides it with no second search for r.
     """
     w = decompose_two_squares(p)  # refuses p unless a prime = 1 mod 4
     div4 = p % 8 == 1
     return Div8Chain(
         div4=div4,
         div8_forms=represent_x2_32y2(p) is not None,
-        div8_2adic=div4 and one_plus_i_is_square(p),
+        div8_2adic=div4 and pow((w.a + w.b) * w.b, (p - 1) // 2, p) == 1,
         div8_decomp=div4 and (w.a + w.b) % 8 == 1,
     )

@@ -73,17 +73,13 @@ def _verify_row(item: tuple[int, int, int]) -> VerifyRow:
     p, a, c = item
     case = sixteen_rank_case(a, c)
     data = class_number_enum(p)
-    if case is RankCase.NOT8:
-        two_adic = None
-        agree = data.v2 <= 2
-    else:
+    agree = RankCase.of_v2(data.v2) is case
+    two_adic = None
+    if case is not RankCase.NOT8:
         # the walk's (a, c) is p's one sum of two squares; sign a to 1 mod 4
         w = PrimeWitness(p=p, a=a if a % 4 == 1 else -a, b=c * c, c=c)
         two_adic = sixteen_divides(w)
-        if case is RankCase.DIV16:
-            agree = data.v2 >= 4 and two_adic
-        else:
-            agree = data.v2 == 3 and not two_adic
+        agree = agree and two_adic == (case is RankCase.DIV16)
     return VerifyRow(
         p=p, a=a, c=c, case=case.value, v2=data.v2, two_adic_16=two_adic, agree=agree
     )

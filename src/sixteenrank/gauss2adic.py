@@ -173,11 +173,17 @@ def sixteen_divides(w: PrimeWitness) -> bool:
 
 
 class RankCase(str, enum.Enum):
-    """Verdict of the congruence criterion on (a mod 16, c mod 4)."""
+    """A 16-rank verdict: of the congruence criterion on (a mod 16, c mod 4),
+    or of v2(h) through of_v2."""
 
     DIV16 = "DIV16"        # 16 | h
     EXACTLY8 = "EXACTLY8"  # 8 | h, 16 does not divide h
     NOT8 = "NOT8"          # 8 does not divide h
+
+    @classmethod
+    def of_v2(cls, v2: int) -> "RankCase":
+        """The verdict that v2(h) gives."""
+        return cls.DIV16 if v2 >= 4 else cls.EXACTLY8 if v2 == 3 else cls.NOT8
 
 
 def sixteen_rank_case(a: int, c: int) -> RankCase:

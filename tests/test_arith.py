@@ -12,7 +12,6 @@ from sixteenrank import (
     Refusal,
     decompose_two_squares,
     is_prime,
-    one_plus_i_is_square,
     primes_up_to,
     represent_x2_32y2,
     sqrt_minus_one_mod_p,
@@ -297,26 +296,6 @@ def test_represent_x2_32y2_solution_shape():
     got = represent_x2_32y2(41)
     assert got == (3, 1) and 3 * 3 + 32 == 41
     assert represent_x2_32y2(17) is None
-
-
-def test_one_plus_i_root_choice_is_irrelevant():
-    # (1+r)(1-r) = 2 is a square mod p for p = +-1 mod 8, so both roots
-    # of -1 give the same Euler symbol
-    for p in primes_up_to(3000):
-        if p % 8 != 1:
-            continue
-        r = sqrt_minus_one_mod_p(p)
-        e1 = pow(1 + r, (p - 1) // 2, p) == 1
-        e2 = pow(1 + (p - r), (p - 1) // 2, p) == 1
-        assert e1 == e2
-        assert one_plus_i_is_square(p) == e1
-
-
-def test_one_plus_i_rejects():
-    with pytest.raises(Refusal):
-        one_plus_i_is_square(13)  # 13 = 5 mod 8
-    with pytest.raises(Refusal):
-        one_plus_i_is_square(65)  # 1 mod 8, but 5 * 13
 
 
 @settings(max_examples=30, deadline=None)

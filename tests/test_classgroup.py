@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixteenrank import (
+    Div8Chain,
     QForm,
     Refusal,
     class_number_dirichlet,
@@ -19,10 +20,17 @@ from sixteenrank import (
     is_prime,
     primes_up_to,
     principal_form,
+    sqrt_minus_one_mod_p,
     two_torsion_form,
 )
+from sixteenrank import arith
 from sixteenrank.arith import _powmod
 from sixteenrank.classgroup import _ENUM_LIMIT, _RESIDUE_CUT, _root_table, _splits
+
+
+def is_reduced(f):
+    # positive definite convention: -a < b <= a <= c, b >= 0 if a == c
+    return f.a > 0 and -f.a < f.b <= f.a <= f.c and (f.b >= 0 or f.a != f.c)
 
 
 def brute_reduced_forms(p):
@@ -254,7 +262,7 @@ def test_reduction_lands_in_reduced_set():
             g = QForm(f.a, f.b + 2 * s * f.a, f.a * s * s + f.b * s + f.c)
             assert g.disc == f.disc
             r = g.reduced()
-            assert r.is_reduced
+            assert is_reduced(r)
             assert (r.a, r.b, r.c) in reduced
             assert (r.a, r.b, r.c) == (f.a, f.b, f.c)
     # a = c needs b >= 0, a case no discriminant -4p with p > 3 prime reaches
@@ -275,7 +283,7 @@ def test_principal_and_two_torsion_forms():
         e = principal_form(p)
         t = two_torsion_form(p)
         assert e.disc == t.disc == -4 * p
-        assert e.is_reduced and t.is_reduced
+        assert is_reduced(e) and is_reduced(t)
         assert t != e
         assert compose(t, t) == e
         assert compose(e, t) == t
@@ -294,7 +302,7 @@ def test_composition_group_structure(p, h):
         row = []
         for g in forms:
             fg = compose(f, g)
-            assert fg.is_reduced
+            assert is_reduced(fg)
             assert key(fg) == key(compose(g, f))
             row.append(key(fg))
         # cancellation: each row is a permutation of the classes
@@ -345,7 +353,7 @@ def test_composition_group_laws_on_prime_forms(p, starts):
     for x in (f, g, k):
         assert x.disc == -4 * p
     fg = compose(f, g)
-    assert fg.is_reduced and fg.disc == -4 * p
+    assert is_reduced(fg) and fg.disc == -4 * p
     assert compose(f, e) == f.reduced()
     assert compose(f, f.inverse()) == e
     assert fg == compose(g, f)
@@ -406,3 +414,37 @@ def test_divisibility_chain_routes_agree_with_class_number():
             assert not chain.div8_forms
             assert not chain.div8_2adic
             assert not chain.div8_decomp, p
+
+
+def test_divisibility_chain_residue_test_reads_either_root():
+    # (1 + r)(1 - r) = 2 is a square mod p = 1 mod 8, so both roots of -1
+    # give the Euler symbol that the chain reads off the two-square witness
+    for p in primes_up_to(3000):
+        if p % 8 != 1:
+            continue
+        r = sqrt_minus_one_mod_p(p)
+        plus = pow(1 + r, (p - 1) // 2, p) == 1
+        minus = pow(1 - r, (p - 1) // 2, p) == 1
+        assert divisibility_chain(p).div8_2adic == plus == minus, p
+
+
+def test_divisibility_chain_refusals():
+    # 65 = 1 mod 8 but 5 * 13; 21 = 1 mod 4 but 3 * 7; 7 = 3 mod 4
+    for n in (65, 21, 7):
+        with pytest.raises(Refusal, match="need a prime = 1 mod 4"):
+            divisibility_chain(n)
+    # 13 = 5 mod 8 has 4 not dividing h: no residue test, and the answer no
+    assert divisibility_chain(13) == Div8Chain(False, False, False, False)
+
+
+@pytest.mark.parametrize("p", [41, 9_999_937])
+def test_divisibility_chain_finds_sqrt_minus_one_once(p, monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return sqrt_minus_one_mod_p(q)
+
+    monkeypatch.setattr(arith, "sqrt_minus_one_mod_p", counted)
+    assert divisibility_chain(p).div4
+    assert calls == [p]

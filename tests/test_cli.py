@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sixteenrank
-from sixteenrank import sievecounts
+from sixteenrank import cli, sievecounts
 from sixteenrank.cli import (
     cmd_unit,
     cmd_verify_sixteen,
@@ -365,6 +366,37 @@ def test_verify_output_is_reproducible(capsys):
         assert row["p"] == row["a"] ** 2 + row["c"] ** 4
         if row["case"] == "NOT8":
             assert row["two_adic_16"] is None
+
+
+def assert_disagreement(capsys, limit, wrong):
+    # the rows of the primes in wrong, and only those, disagree; verify
+    # still exits 0 and prints the disagreement
+    report = cmd_verify_sixteen(limit)
+    assert [row.p for row in report.rows if not row.agree] == wrong
+    assert report.all_agree is False
+    code, out, err = run(capsys, ["verify", "--limit", str(limit)])
+    assert code == 0 and err == ""
+    assert out.endswith("all three routes agree: False\n")
+
+
+def test_verify_reports_a_class_number_off_by_one(capsys, monkeypatch):
+    enum = cli.class_number_enum
+
+    def off(p):
+        data = enum(p)
+        return dataclasses.replace(data, v2=data.v2 + 1) if p == 41 else data
+
+    monkeypatch.setattr(cli, "class_number_enum", off)
+    assert_disagreement(capsys, 200, [41])
+
+
+def test_verify_reports_a_negated_two_adic_verdict(capsys, monkeypatch):
+    # every DIV16 and EXACTLY8 row runs the 2-adic route, and only those
+    rows = cmd_verify_sixteen(3000).rows
+    assert {"DIV16", "EXACTLY8"} <= {row.case for row in rows}
+    divides = cli.sixteen_divides
+    monkeypatch.setattr(cli, "sixteen_divides", lambda w: not divides(w))
+    assert_disagreement(capsys, 3000, [row.p for row in rows if row.case != "NOT8"])
 
 
 def test_verify_text_summary(capsys):

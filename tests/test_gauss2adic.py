@@ -11,6 +11,7 @@ from sixteenrank import (
     PrimeWitness,
     RankCase,
     Refusal,
+    class_number_enum,
     congruent,
     decompose_two_squares,
     hensel_sqrt,
@@ -21,6 +22,7 @@ from sixteenrank import (
     sixteen_divides,
     sixteen_rank_case,
 )
+from sixteenrank.cli import form_witnesses
 from sixteenrank.gauss2adic import _MAX_PRECISION, m_power
 
 
@@ -245,6 +247,16 @@ def test_rank_case_table():
                 assert got is RankCase.NOT8
             # NOT8 iff a + c^2 is not +-1 mod 8
             assert (got is RankCase.NOT8) == ((a0 + c0 * c0) % 8 not in (1, 7))
+
+
+def test_rank_case_of_v2():
+    expected = [RankCase.NOT8] * 3 + [RankCase.EXACTLY8] + [RankCase.DIV16] * 3
+    assert [RankCase.of_v2(v) for v in range(7)] == expected
+    # the class number's verdict is the congruence table's on the family
+    witnesses = form_witnesses(10**5)
+    assert len(witnesses) > 100
+    for p, a, c in witnesses:
+        assert RankCase.of_v2(class_number_enum(p).v2) is sixteen_rank_case(a, c), p
 
 
 def two_adic_verdict(w, precision):
