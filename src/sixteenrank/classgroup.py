@@ -75,9 +75,6 @@ class QForm:
                 return QForm(a, b, c)
             a, b, c = c, -b, a
 
-    def inverse(self) -> "QForm":
-        return QForm(self.a, -self.b, self.c).reduced()
-
 
 def principal_form(p: int) -> QForm:
     return QForm(1, 0, p)

@@ -36,10 +36,11 @@ once, at that index; only the smaller primes walk their progressions.
 Up to X = _SIEVE_LIMIT the bound is sqrt(X), so a survivor above it is
 prime, and the values up to sqrt(X), which a prime q = n strikes from its
 own row, are read from the odd-only sieve of arith up to sqrt(X).  Above
-_SIEVE_LIMIT only the primes below _STRIKE_BOUND strike, and
-deterministic Miller-Rabin decides the survivors.  A row with c^4 above
-the bound holds no value up to it.  In both paths the rows c and -c hold
-the same a, so a class that holds both walks the row once.
+_SIEVE_LIMIT only the primes up to sqrt(X)/2 strike, so a composite
+survivor is a product of two primes above sqrt(X)/2, and deterministic
+Miller-Rabin decides the survivors.  A row with c^4 above the bound holds
+no value up to it.  In both paths the rows c and -c hold the same a, so a
+class that holds both walks the row once.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ from .errors import Refusal
 
 _X_LIMIT = 10**10
 # up to this X every row is struck by all primes <= sqrt(X); above it only
-# the primes below _STRIKE_BOUND strike, then Miller-Rabin decides the rest
+# the primes <= sqrt(X)/2 strike, then Miller-Rabin decides the rest
 _SIEVE_LIMIT = 3 * 10**8
-_STRIKE_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,11 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.
         # the roots of a^2 = -c^4 mod q are +-r c^2; a q = 3 mod 4 has only
         # the root 0, when q | c: every such q when c = 0, else a q <= |c|.
         # k0 is a root's first index in the row, start + k0 q1 = root mod q,
-        # so k0 = (+-r q1^-1 c^2 - start q1^-1) mod q.  With q <= sqrt(X),
-        # c^2 <= sqrt(X) and |start| <= sqrt(X), each product is at most
-        # _X_LIMIT = 10^10 in size, so int64 holds them unreduced
+        # so k0 = (+-r q1^-1 c^2 - start q1^-1) mod q.  The bound is at most
+        # sqrt(X) (sqrt(X)/2 = 5*10^4 at 10^10 on the Miller-Rabin branch),
+        # so with q <= sqrt(X), c^2 <= sqrt(X) and |start| <= sqrt(X), each
+        # product is at most _X_LIMIT = 10^10 in size, and int64 holds them
+        # unreduced
         qr = strike.rooted_q
         head = np.searchsorted(strike.rootless_q, abs(c), side="right") if c else None
         zero = np.flatnonzero(c % strike.rootless_q[:head] == 0)
@@ -203,8 +205,9 @@ def prime_rows(x: int, pair: CongruencePair):
     if x < 2:
         return
     sieve = x <= _SIEVE_LIMIT
-    strike = _strike_table(math.isqrt(x) if sieve else _STRIKE_BOUND - 1, pair.q1)
-    cmax = math.isqrt(math.isqrt(x))
+    root = math.isqrt(x)
+    strike = _strike_table(root if sieve else max(1, root // 2), pair.q1)
+    cmax = math.isqrt(root)
     # the rows c and -c hold the same a; when the class holds both, walk
     # c >= 0 and yield each row with c > 0 for both signs
     symmetric = 2 * pair.c0 % pair.q2 == 0

@@ -3,6 +3,7 @@
 import ast
 import concurrent.futures
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -667,8 +668,9 @@ def test_all_exports_resolve():
 
 
 def test_every_export_has_a_caller_outside_its_tests():
-    # a public name must be read by the package itself, a demo, or the
-    # acceptance criteria; a name only its own unit test reads is dead
+    # a public name, or a public method or property of an exported class,
+    # must be read by the package itself, a demo, or the acceptance
+    # criteria; a name only its own unit test reads is dead
     root = Path(__file__).resolve().parents[1]
     src = Path(sixteenrank.__file__).parent
     files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
@@ -680,4 +682,13 @@ def test_every_export_has_a_caller_outside_its_tests():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
-    assert [name for name in sixteenrank.__all__ if name not in loaded] == []
+    names = [(name, name) for name in sixteenrank.__all__]
+    for name in sixteenrank.__all__:
+        obj = getattr(sixteenrank, name)
+        if isinstance(obj, type):
+            names += [
+                (f"{name}.{attr}", attr) for attr, value in vars(obj).items()
+                if not attr.startswith("_") and (inspect.isfunction(value) or isinstance(
+                    value, (property, classmethod, staticmethod)))
+            ]
+    assert [full for full, name in names if name not in loaded] == []

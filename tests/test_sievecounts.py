@@ -164,17 +164,17 @@ STRIKE_ROWS = [
 
 @pytest.mark.parametrize("c, q1, a", STRIKE_ROWS)
 def test_strike_marks_exactly_small_factors(c, q1, a):
-    # a survivor is an n <= _STRIKE_BOUND or an n with no prime factor below
-    # it: per prime q, exactly the rho(c^2, q) roots of a^2 = -c^4 mod q go
+    # a survivor is an n <= bound or an n with no prime factor up to it:
+    # per prime q, exactly the rho(c^2, q) roots of a^2 = -c^4 mod q go.
+    # 8,660 is sqrt(X)/2 at the X = 300,000,001 just above _SIEVE_LIMIT
     n = a * a + c**4
-    small_factor = np.zeros(n.size, dtype=bool)
-    for q in range(2, sievecounts._STRIKE_BOUND):
-        if is_prime(q):
-            small_factor |= n % q == 0
-    want = (n <= sievecounts._STRIKE_BOUND) | ~small_factor
-    strike = sievecounts._strike_table(sievecounts._STRIKE_BOUND - 1, q1)
-    got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
-    assert got.tolist() == want.tolist()
+    for bound in (999, 8660):
+        small = np.array(primes_up_to(bound))
+        small_factor = (n[:, None] % small == 0).any(axis=1)
+        want = (n <= bound) | ~small_factor
+        strike = sievecounts._strike_table(bound, q1)
+        got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
+        assert got.tolist() == want.tolist(), bound
 
 
 @pytest.mark.parametrize("c, q1, a", STRIKE_ROWS)
@@ -241,6 +241,56 @@ def test_strike_holds_int64_headroom_at_the_x_limit(start, c, q1):
             want[-start * inv % q :: q] = False
     got = sievecounts._strike_survivors(n, start, c, strike)
     assert got.tolist() == want.tolist()
+
+
+def miller_rabin_row(x, c, q1, start):
+    """Up to 2,000 values n = a^2 + c^4 <= x of a row a = start, start + q1,
+    ..., decided as prime_rows decides them above _SIEVE_LIMIT: struck by
+    the primes up to sqrt(x)/2, then is_prime above that bound and the
+    odd-only flags up to it.  Returns n, the mask of the n that reached
+    is_prime, and the verdicts."""
+    amax = math.isqrt(x - c**4)
+    a = np.arange(start, min(amax, start + 1999 * q1) + 1, q1, dtype=np.int64)
+    n = a * a + c**4
+    strike = sievecounts._strike_table(math.isqrt(x) // 2, q1)
+    prime = sievecounts._strike_survivors(n, start, c, strike)
+    tested = prime & (n > strike.bound)
+    prime[tested] = [is_prime(v) for v in n[tested].tolist()]
+    small = np.flatnonzero(n <= strike.bound)
+    prime[small] = [v == 2 or (v & 1 and strike.flags[v >> 1] == 1)
+                    for v in n[small].tolist()]
+    return n, tested, prime
+
+
+@st.composite
+def miller_rabin_rows(draw):
+    # (x, c, q1, start): x above _SIEVE_LIMIT, a row c of it, and the first
+    # a of a window, a = start mod q1
+    x = draw(st.integers(min_value=sievecounts._SIEVE_LIMIT + 1, max_value=_X_LIMIT))
+    cmax = math.isqrt(math.isqrt(x))
+    c = draw(st.integers(min_value=-cmax, max_value=cmax))
+    amax = math.isqrt(x - c**4)
+    return x, c, draw(st.sampled_from((1, 16))), draw(st.integers(-amax, amax))
+
+
+# 98785^2 + 2^4 = 85453 * 114197 <= 10^10, both primes above the bound
+# sqrt(10^10)/2 = 50000: a composite that only Miller-Rabin rejects
+MR_COMPOSITE_ROW = (_X_LIMIT, 2, 16, 98785 - 16 * 1000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(miller_rabin_rows())
+@example(MR_COMPOSITE_ROW)
+@example((sievecounts._SIEVE_LIMIT + 1, 1, 1, -1000))  # a^2 + 1 = 2, 5, 17, ... below the bound
+def test_miller_rabin_rows_match_is_prime_up_to_the_x_limit(row):
+    n, _, prime = miller_rabin_row(*row)
+    assert prime.tolist() == [is_prime(v) for v in n.tolist()]
+
+
+def test_miller_rabin_rejects_a_product_of_primes_above_the_bound():
+    n, tested, prime = miller_rabin_row(*MR_COMPOSITE_ROW)
+    at = np.flatnonzero(n == 85453 * 114197)
+    assert at.size == 1 and tested[at[0]] and not prime[at[0]]
 
 
 def test_lattice_partition_by_parity():
