@@ -40,7 +40,8 @@ _SIEVE_LIMIT only the primes up to sqrt(X)/2 strike, so a composite
 survivor is a product of two primes above sqrt(X)/2, and deterministic
 Miller-Rabin decides the survivors.  A row with c^4 above the bound holds
 no value up to it.  In both paths the rows c and -c hold the same a, so a
-class that holds both walks the row once.
+class that holds both walks the row once, and represented_primes keeps its
+values once, sorting them in place with those of every other |c|.
 """
 
 from __future__ import annotations
@@ -256,11 +257,24 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
 
 
 def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
-    """Sorted distinct primes a^2 + c^4 <= x matching the congruences."""
-    values = [a * a + c**4 for c, a in prime_rows(x, pair)]
-    if not values:
-        return np.array([], dtype=np.int64)
-    return np.unique(np.concatenate(values))
+    """Sorted distinct primes a^2 + c^4 <= x matching the congruences.
+
+    The rows c and -c hold the same values, so one row's are kept per c^4.
+    One in-place sort of all of them, keeping the first of each run of
+    equal values, then collapses a prime on rows of different |c|
+    (17 = 1^2 + 2^4 = 4^2 + 1^4); no hash set is built.
+    """
+    rows = {}
+    for c, a in prime_rows(x, pair):
+        c4 = c**4
+        if c4 not in rows:
+            rows[c4] = a * a + c4
+    values = np.concatenate([np.empty(0, dtype=np.int64), *rows.values()])
+    del rows
+    values.sort()
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def kappa() -> float:

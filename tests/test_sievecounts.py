@@ -81,6 +81,8 @@ def assert_counts_match_brute_force():
             assert count_primes(x, pair, mode="distinct") == len(primes), (pair, x)
             got = represented_primes(x, pair)
             assert sorted(primes) == list(got), (pair, x)
+            assert got.dtype == np.int64, (pair, x)
+            assert np.all(got[1:] > got[:-1]), (pair, x)
 
 
 def test_counts_match_brute_force():
@@ -114,6 +116,26 @@ def test_rows_of_negative_c_match_brute_force(monkeypatch, sieve_limit):
     assert lattice == 610
     assert count_primes(50000, NEGATIVE_C_PAIR, "lattice") == lattice
     assert represented_primes(50000, NEGATIVE_C_PAIR).tolist() == sorted(primes)
+
+
+def unique_row_values(x, pair):
+    """The distinct primes by np.unique over every yielded row's values."""
+    values = [a * a + c**4 for c, a in prime_rows(x, pair)]
+    if not values:
+        return np.array([], dtype=np.int64)
+    return np.unique(np.concatenate(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), pairs())
+# 17 = 1^2 + 2^4 = 4^2 + 1^4 and 97 = 9^2 + 2^4 = 4^2 + 3^4 each lie on two
+# rows of different |c|
+@example(10**6, TRIVIAL_PAIR)
+def test_represented_primes_match_unique_row_values(x, pair):
+    got = represented_primes(x, pair)
+    want = unique_row_values(x, pair)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
 
 
 @settings(max_examples=60, deadline=None)
