@@ -16,7 +16,14 @@ from sixteenrank import (
     represent_x2_32y2,
     sqrt_minus_one_mod_p,
 )
-from sixteenrank.arith import _BLOCK, _MR_ROWS, _runs, odd_prime_flags
+from sixteenrank.arith import (
+    _BLOCK,
+    _MR_ROWS,
+    _SMALL_PRODUCT,
+    _powmod,
+    _runs,
+    odd_prime_flags,
+)
 
 
 def trial_division_prime(n: int) -> bool:
@@ -34,8 +41,9 @@ def test_is_prime_matches_trial_division():
 
 
 def test_is_prime_matches_the_sieve():
-    # the sieve is an independent oracle past the (2,) and (2, 3) row limits
-    n = 1 << 18
+    # the sieve is an independent oracle for every n the one-base row decides
+    n = 341531
+    assert _MR_ROWS[0][0] == n
     expected = np.zeros(n, dtype=bool)
     expected[1::2] = odd_prime_flags(n - 1)
     expected[2] = True
@@ -71,6 +79,18 @@ PSI = {
 JAESCHKE = {
     (2, 7, 61): (4759123141, (48781, 97561)),
     (2, 13, 23, 1662803): (1122004669633, (611557, 1834669)),
+}
+
+# Sinclair's one-, two- and three-base records (miller-rabin.appspot.com):
+# each limit is the smallest composite that is a strong probable prime to
+# every base of its row, with its factors
+RECORDS = {
+    (9345883071009581737,): (341531, (239, 1429)),
+    (336781006125, 9639812373923155): (1050535501, (12251, 85751)),
+    (4230279247111683200, 14694767155120705706, 16641139526367750375): (
+        350269456337,
+        (197279, 1775503),
+    ),
 }
 
 
@@ -118,13 +138,50 @@ def test_is_prime_rejects_jaeschke_row_limits(bases):
     assert not is_prime(n)
 
 
+@pytest.mark.parametrize("bases", sorted(RECORDS), ids=lambda bases: str(RECORDS[bases][0]))
+def test_is_prime_rejects_record_row_limits(bases):
+    # the limit fools its row's bases, so is_prime must take the next row there
+    n, factors = RECORDS[bases]
+    assert n == math.prod(factors)
+    assert all(strong_probable_prime(n, base) for base in bases)
+    assert (n, bases) in _MR_ROWS
+    assert not is_prime(n)
+
+
+def divisors(n: int) -> list[int]:
+    """Every divisor of n, for n whose prime factors are all below 3 * 10^5
+    except perhaps the largest."""
+    factors = []
+    for q in primes_up_to(3 * 10**5):
+        while n % q == 0:
+            factors.append(q)
+            n //= q
+    if n > 1:
+        assert miller_rabin_all_bases(n), n
+        factors.append(n)
+    found = {1}
+    for q in factors:
+        found |= {d * q for d in found}
+    return sorted(found)
+
+
 def test_base_table_rows():
     limits = [limit for limit, _ in _MR_ROWS]
     assert limits == sorted(set(limits)) and limits[-1] == 2**64
-    # each n a row decides is at least the previous limit (41 for the first
-    # row, past trial division), so no base is 0 mod n
-    for lower, (_, bases) in zip([41, *limits], _MR_ROWS):
-        assert max(bases) < lower, bases
+    # is_prime skips a base that is 0 mod n, so every n past trial division
+    # that divides a base must come out right; the n a row decides are at
+    # least the previous limit (41 for the first row), and for four of
+    # them a base of their own row is skipped
+    skipped = set()
+    for lower, (limit, bases) in zip([41, *limits], _MR_ROWS):
+        for base in bases:
+            for n in divisors(base):
+                if n >= 41 and math.gcd(n, _SMALL_PRODUCT) == 1:
+                    assert is_prime(n) == miller_rabin_all_bases(n), n
+                    if lower <= n < limit:
+                        skipped.add(n)
+    # the primes 47, 98207 and 6855593, and 898082683 = 131 * 6855593
+    assert skipped == {47, 98207, 6855593, 898082683}
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,13 +189,63 @@ def test_base_table_rows():
     st.one_of(
         st.integers(0, 2**64 - 1),
         st.integers(0, 10**9),
-        st.sampled_from([n for n, _ in (*PSI.values(), *JAESCHKE.values())]).flatmap(
-            lambda n: st.integers(n - 2000, n + 2000)
-        ),
+        st.sampled_from(
+            [n for n, _ in (*PSI.values(), *JAESCHKE.values(), *RECORDS.values())]
+        ).flatmap(lambda n: st.integers(n - 2000, n + 2000)),
     )
 )
 def test_is_prime_matches_all_bases(n):
     assert is_prime(n) == miller_rabin_all_bases(n)
+
+
+def sieved_composites(lo: int, hi: int) -> np.ndarray:
+    """The odd composites in [lo, hi) with no prime factor up to 37, as
+    int64, by striking [lo, hi) with every prime up to sqrt(hi)."""
+    composite = np.zeros(hi - lo, dtype=bool)
+    for q in primes_up_to(math.isqrt(hi - 1)):
+        start = max(q * q, -(-lo // q) * q)
+        composite[start - lo :: q] = True
+    n = np.arange(lo | 1, hi, 2, dtype=np.int64)
+    return n[composite[n - lo] & (np.gcd(n, _SMALL_PRODUCT) == 1)]
+
+
+def strong_probable_primes(n: np.ndarray, base: int) -> np.ndarray:
+    """strong_probable_prime(n, base) for each odd 3 <= n < 2^31 of the
+    array, with a base 0 mod n passed, as is_prime skips it."""
+    a = base % n
+    m = n - 1
+    r = np.log2(m & -m).astype(np.int64)  # m & -m is a power of two
+    x = _powmod(a, m >> r, n)
+    passed = (a == 0) | (x == 1) | (x == m)
+    for k in range(1, int(r.max(initial=0))):
+        x = x * x % n
+        passed |= (x == m) & (k < r)
+    return passed
+
+
+def two_base_pseudoprimes(lo: int, hi: int) -> list[int]:
+    """The n of sieved_composites(lo, hi) that pass both bases of the
+    two-base row, so that is_prime would accept them."""
+    n = sieved_composites(lo, hi)
+    for base in _MR_ROWS[1][1]:
+        n = n[strong_probable_primes(n, base)]
+    return n.tolist()
+
+
+def test_strong_probable_primes_match_one_at_a_time():
+    n = np.arange(41, 20001, 2, dtype=np.int64)
+    n = np.concatenate([n, n + 10**9])
+    for base in (2, 61, *_MR_ROWS[1][1]):
+        expected = [base % k == 0 or strong_probable_prime(k, base) for k in n.tolist()]
+        assert strong_probable_primes(n, base).tolist() == expected, base
+
+
+def test_two_base_row_windows():
+    # inside the row nothing passes both bases; at its limit, the first
+    # composite that does, and nothing else, is found
+    assert two_base_pseudoprimes(10**9 - (1 << 21), 10**9) == []
+    limit = _MR_ROWS[1][0]
+    assert two_base_pseudoprimes(limit + 1 - (1 << 21), limit + 1) == [limit]
 
 
 def test_is_prime_large_mersenne():
