@@ -22,11 +22,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _MR_LIMIT = 1 << 64
 # Rows (limit, bases), sorted by limit: the bases decide every n < limit.
-# The one-, two- and three-base rows are J. Sinclair's records
+# The one- and two-base rows are J. Sinclair's records
 # (miller-rabin.appspot.com), the rest Jaeschke's (Math. Comp. 61, 1993;
-# OEIS A014233 for the first-k rows).  Jaeschke's {2, 7, 61} stays below
-# 4,759,123,141: from n >= 2^30 a base reduced mod n takes two 30-bit
-# digits, so three such powers cost more than three by one-digit bases.
+# OEIS A014233 for the first-k rows).  Jaeschke's one-digit bases take
+# over from 1,050,535,501: past 2^30 a base reduced mod n takes two 30-bit
+# digits, and a modular power by it costs more than one by 2, 7 or 61.
 # A base is reduced mod n and skipped when it is 0 mod n: such an n is
 # then a prime divisor of the base, or a composite one that the row's
 # other bases reject.
@@ -34,7 +34,6 @@ _MR_ROWS = (
     (341531, (9345883071009581737,)),
     (1050535501, (336781006125, 9639812373923155)),
     (4759123141, (2, 7, 61)),
-    (350269456337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, _SMALL_PRIMES[:5]),
     (3474749660383, _SMALL_PRIMES[:6]),
@@ -48,10 +47,9 @@ _MR_LIMITS = tuple(limit for limit, _ in _MR_ROWS)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 0 <= n < 2^64, with the fewest bases
     that decide n's size: one modular power below 341,531 and two below
-    1,050,535,501 (Sinclair's record bases), three below 350,269,456,337
-    (Jaeschke's (1993) {2, 7, 61} below 4,759,123,141, then Sinclair's),
-    then Jaeschke's {2, 13, 23, 1662803} below 1,122,004,669,633, so at
-    most four modular powers up to 10^12."""
+    1,050,535,501 (Sinclair's record bases), then Jaeschke's (1993)
+    {2, 7, 61} below 4,759,123,141 and {2, 13, 23, 1662803} below
+    1,122,004,669,633, so at most four modular powers up to 10^12."""
     if n >= _MR_LIMIT:
         raise Refusal(f"is_prime is deterministic only below 2**64, got {n}")
     if n < 2:

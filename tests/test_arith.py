@@ -81,16 +81,12 @@ JAESCHKE = {
     (2, 13, 23, 1662803): (1122004669633, (611557, 1834669)),
 }
 
-# Sinclair's one-, two- and three-base records (miller-rabin.appspot.com):
-# each limit is the smallest composite that is a strong probable prime to
-# every base of its row, with its factors
+# Sinclair's one- and two-base records (miller-rabin.appspot.com): each
+# limit is the smallest composite that is a strong probable prime to every
+# base of its row, with its factors
 RECORDS = {
     (9345883071009581737,): (341531, (239, 1429)),
     (336781006125, 9639812373923155): (1050535501, (12251, 85751)),
-    (4230279247111683200, 14694767155120705706, 16641139526367750375): (
-        350269456337,
-        (197279, 1775503),
-    ),
 }
 
 
