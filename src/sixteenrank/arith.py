@@ -23,10 +23,13 @@ _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _MR_LIMIT = 1 << 64
 # Rows (limit, bases), sorted by limit: the bases decide every n < limit.
 # The one- and two-base rows are J. Sinclair's records
-# (miller-rabin.appspot.com), the rest Jaeschke's (Math. Comp. 61, 1993;
-# OEIS A014233 for the first-k rows).  Jaeschke's one-digit bases take
-# over from 1,050,535,501: past 2^30 a base reduced mod n takes two 30-bit
-# digits, and a modular power by it costs more than one by 2, 7 or 61.
+# (miller-rabin.appspot.com), the three- and four-base rows Jaeschke's
+# (Math. Comp. 61, 1993), and the twelve primes up to 37 decide every
+# n < 2^64 (OEIS A014233).  Jaeschke's one-digit bases take over from
+# 1,050,535,501: past 2^30 a base reduced mod n takes two 30-bit digits,
+# and a modular power by it costs more than one by 2, 7 or 61.  No command
+# tests an n above 10^10, so all twelve bases serve every n from
+# 1,122,004,669,633 up.
 # A base is reduced mod n and skipped when it is 0 mod n: such an n is
 # then a prime divisor of the base, or a composite one that the row's
 # other bases reject.
@@ -35,10 +38,6 @@ _MR_ROWS = (
     (1050535501, (336781006125, 9639812373923155)),
     (4759123141, (2, 7, 61)),
     (1122004669633, (2, 13, 23, 1662803)),
-    (2152302898747, _SMALL_PRIMES[:5]),
-    (3474749660383, _SMALL_PRIMES[:6]),
-    (341550071728321, _SMALL_PRIMES[:7]),
-    (3825123056546413051, _SMALL_PRIMES[:9]),
     (_MR_LIMIT, _SMALL_PRIMES),
 )
 _MR_LIMITS = tuple(limit for limit, _ in _MR_ROWS)
@@ -49,7 +48,8 @@ def is_prime(n: int) -> bool:
     that decide n's size: one modular power below 341,531 and two below
     1,050,535,501 (Sinclair's record bases), then Jaeschke's (1993)
     {2, 7, 61} below 4,759,123,141 and {2, 13, 23, 1662803} below
-    1,122,004,669,633, so at most four modular powers up to 10^12."""
+    1,122,004,669,633, so at most four modular powers up to 10^12, and
+    the twelve primes up to 37 above."""
     if n >= _MR_LIMIT:
         raise Refusal(f"is_prime is deterministic only below 2**64, got {n}")
     if n < 2:

@@ -64,7 +64,7 @@ def form_witnesses(limit: int) -> list[tuple[int, int, int]]:
     """
     return sorted(
         (a * a + c**4, a, c)
-        for c, row in prime_rows(limit, CongruencePair(1, 2, 0, 2)) if c > 0
+        for c, row, _ in prime_rows(limit, CongruencePair(1, 2, 0, 2))
         for a in row.tolist() if a > 0
     )
 

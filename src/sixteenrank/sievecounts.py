@@ -39,9 +39,8 @@ own row, are read from the odd-only sieve of arith up to sqrt(X).  Above
 _SIEVE_LIMIT only the primes up to sqrt(X)/2 strike, so a composite
 survivor is a product of two primes above sqrt(X)/2, and deterministic
 Miller-Rabin decides the survivors.  A row with c^4 above the bound holds
-no value up to it.  In both paths the rows c and -c hold the same a, so a
-class that holds both walks the row once, and represented_primes keeps its
-values once, sorting them in place with those of every other |c|.
+no value up to it.  The rows c and -c hold the same a, so a class that
+holds both walks c > 0 only and yields each row once, with weight 2.
 """
 
 from __future__ import annotations
@@ -200,8 +199,10 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.
 
 
 def prime_rows(x: int, pair: CongruencePair):
-    """Yield (c, a) per row of the class: a is the int64 array of the a
-    with a^2 + c^4 <= x prime, in increasing order."""
+    """Yield (c, a, k) once per walked row of the class: a is the int64
+    array of the a with a^2 + c^4 <= x prime, in increasing order, and k
+    is 2 when the row -c, which holds the same a, is in the class (then
+    c > 0), else 1."""
     _check_x(x)
     if x < 2:
         return
@@ -209,10 +210,10 @@ def prime_rows(x: int, pair: CongruencePair):
     root = math.isqrt(x)
     strike = _strike_table(root if sieve else max(1, root // 2), pair.q1)
     cmax = math.isqrt(root)
-    # the rows c and -c hold the same a; when the class holds both, walk
-    # c >= 0 and yield each row with c > 0 for both signs
-    symmetric = 2 * pair.c0 % pair.q2 == 0
-    for c in _progression(0 if symmetric else -cmax, cmax, pair.c0, pair.q2).tolist():
+    # when the class holds both signs of c, walk c > 0: the row c = 0 holds
+    # only the squares a^2, none of them prime
+    k = 2 if 2 * pair.c0 % pair.q2 == 0 else 1
+    for c in _progression(1 if k == 2 else -cmax, cmax, pair.c0, pair.q2).tolist():
         c4 = c**4
         amax = math.isqrt(x - c4)
         a = _progression(-amax, amax, pair.a0, pair.q1)
@@ -231,10 +232,7 @@ def prime_rows(x: int, pair: CongruencePair):
             prime[small] = v == 2
             odd = v & 1 == 1
             prime[small[odd]] = strike.flags[v[odd] >> 1]
-        a = a[prime]
-        yield c, a
-        if symmetric and c:
-            yield -c, a
+        yield c, a[prime], k
 
 
 def _check_x(x: int) -> None:
@@ -252,25 +250,20 @@ def count_primes(x: int, pair: CongruencePair, mode: str = "lattice") -> int:
     if mode not in ("lattice", "distinct"):
         raise Refusal(f"mode must be 'lattice' or 'distinct', got {mode!r}")
     if mode == "lattice":
-        return sum(int(a.size) for _, a in prime_rows(x, pair))
+        return sum(k * int(a.size) for _, a, k in prime_rows(x, pair))
     return int(represented_primes(x, pair).size)
 
 
 def represented_primes(x: int, pair: CongruencePair) -> np.ndarray:
     """Sorted distinct primes a^2 + c^4 <= x matching the congruences.
 
-    The rows c and -c hold the same values, so one row's are kept per c^4.
-    One in-place sort of all of them, keeping the first of each run of
-    equal values, then collapses a prime on rows of different |c|
+    One in-place sort of the walked rows' values, keeping the first of each
+    run of equal values, collapses a prime on rows of different |c|
     (17 = 1^2 + 2^4 = 4^2 + 1^4); no hash set is built.
     """
-    rows = {}
-    for c, a in prime_rows(x, pair):
-        c4 = c**4
-        if c4 not in rows:
-            rows[c4] = a * a + c4
-    values = np.concatenate([np.empty(0, dtype=np.int64), *rows.values()])
-    del rows
+    values = np.concatenate(
+        [np.empty(0, dtype=np.int64), *(a * a + c**4 for c, a, _ in prime_rows(x, pair))]
+    )
     values.sort()
     first = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=first[1:])

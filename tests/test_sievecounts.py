@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -118,9 +119,42 @@ def test_rows_of_negative_c_match_brute_force(monkeypatch, sieve_limit):
     assert represented_primes(50000, NEGATIVE_C_PAIR).tolist() == sorted(primes)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), pairs())
+@example(10**6, TRIVIAL_PAIR)
+@example(50000, NEGATIVE_C_PAIR)
+@example(50000, CongruencePair(1, 2, 1, 2))  # c odd: -c is in the class
+def test_prime_rows_yield_each_row_once(x, pair):
+    rows = list(prime_rows(x, pair))
+    both = 2 * pair.c0 % pair.q2 == 0
+    cs = [c for c, _, _ in rows]
+    assert len({abs(c) for c in cs}) == len(cs), cs
+    assert all(c % pair.q2 == pair.c0 for c in cs), cs
+    if both:
+        assert all(c > 0 for c in cs), cs
+    assert all(k == (2 if both else 1) for _, _, k in rows)
+    assert sum(k * a.size for _, a, k in rows) == brute_counts(x, pair)[0]
+
+
+@pytest.mark.parametrize("sieve_limit", [sievecounts._SIEVE_LIMIT, 0],
+                         ids=["sieve", "miller_rabin"])
+@pytest.mark.parametrize("pair", [CongruencePair(1, 2, 0, 2), TRIVIAL_PAIR,
+                                  CongruencePair(0, 2, 1, 2), CongruencePair(5, 10, 1, 3)],
+                         ids=str)
+def test_prime_rows_keep_both_signs_of_a(monkeypatch, sieve_limit, pair):
+    # the a -> -a symmetry is not folded: in a class that holds a and -a,
+    # every row holds both, so a check of that symmetry reads the walk
+    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", sieve_limit)
+    assert 2 * pair.a0 % pair.q1 == 0
+    rows = list(prime_rows(10**6, pair))
+    assert sum(a.size for _, a, _ in rows) > 0
+    for c, a, _ in rows:
+        assert a.tolist() == (-a[::-1]).tolist(), c
+
+
 def unique_row_values(x, pair):
     """The distinct primes by np.unique over every yielded row's values."""
-    values = [a * a + c**4 for c, a in prime_rows(x, pair)]
+    values = [a * a + c**4 for c, a, _ in prime_rows(x, pair)]
     if not values:
         return np.array([], dtype=np.int64)
     return np.unique(np.concatenate(values))
@@ -136,6 +170,20 @@ def test_represented_primes_match_unique_row_values(x, pair):
     want = unique_row_values(x, pair)
     assert got.dtype == want.dtype == np.int64
     assert got.tolist() == want.tolist()
+
+
+def test_represented_primes_peak_memory():
+    # one value array per walked row, then one in-place sort: about 1.0 MiB,
+    # against 2.0 MiB when the rows of -c are kept too
+    pair = CongruencePair(1, 2, 0, 2)
+    tracemalloc.start()
+    try:
+        got = represented_primes(10**8, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.size == 32286
+    assert peak < 1.5 * 2**20, peak
 
 
 @settings(max_examples=60, deadline=None)
