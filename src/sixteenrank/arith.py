@@ -93,22 +93,33 @@ def _runs(start: np.ndarray, step: np.ndarray, count: np.ndarray):
     """The progressions start[i] + k step[i], 0 <= k < count[i], in order,
     as pairs (i, value) of arrays of at most _BLOCK entries each, so that
     memory stays bounded however long the runs are."""
-    ends = np.cumsum(count)
+    ends = count.cumsum()
     total = int(ends[-1]) if ends.size else 0
+    # the k-th entry of all runs together, k in run i, is base[i] + k step[i]
+    base = start - step * (ends - count)
     if 0 < total <= _BLOCK:
         # one block holds every run whole, with no search for its edges
-        i = np.repeat(np.arange(count.size), count)
-        yield i, start[i] + step[i] * (np.arange(total) - ends[i] + count[i])
+        i = np.arange(count.size).repeat(count)
+        yield i, _entries(i, 0, total, base, step)
         return
     for e0 in range(0, total, _BLOCK):
         e1 = min(e0 + _BLOCK, total)
         # the runs r0 <= r < r1 meet the block [e0, e1), each in
         # min(end, e1) - max(begin, e0) >= 0 entries
-        r0 = int(np.searchsorted(ends, e0, side="right"))
-        r1 = int(np.searchsorted(ends, e1 - 1, side="right")) + 1
+        r0 = int(ends.searchsorted(e0, side="right"))
+        r1 = int(ends.searchsorted(e1 - 1, side="right")) + 1
         end = ends[r0:r1]
-        i = np.repeat(np.arange(r0, r1), np.minimum(end, e1) - np.maximum(end - count[r0:r1], e0))
-        yield i, start[i] + step[i] * (np.arange(e0, e1) - ends[i] + count[i])
+        i = np.arange(r0, r1).repeat(np.minimum(end, e1) - np.maximum(end - count[r0:r1], e0))
+        yield i, _entries(i, e0, e1, base, step)
+
+
+def _entries(i: np.ndarray, e0: int, e1: int, base: np.ndarray, step: np.ndarray) -> np.ndarray:
+    # entries e0 <= k < e1 of the runs, built in place so that a block
+    # holds no more than three arrays of its size at once
+    value = np.arange(e0, e1)
+    value *= step[i]
+    value += base[i]
+    return value
 
 
 def _v2(n: int) -> int:

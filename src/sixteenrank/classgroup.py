@@ -8,11 +8,15 @@ Two independent routes to h(-4p) for primes p = 1 mod 4:
     of roots of x^2 = -p (mod A): a multiplicative function read off
     the square roots of -p modulo the odd primes q.  What rho needs
     besides those roots does not depend on p, and is built once per
-    power-of-two bound on A: the odd primes, the pairs (A, q) with q | A,
-    the weights 2^omega(A), and a table of square roots mod each q up
-    to _RESIDUE_CUT.  A p then costs one gather of its roots and one
+    power-of-two bound on A: the odd primes and the pairs (A, q) with
+    q | A, each with its count up to every A, the weights 2^omega(A),
+    each A's modulus (its largest prime factor up to _RESIDUE_CUT, or 1)
+    and a table of square roots mod each q up to _RESIDUE_CUT, built in
+    one blocked pass.  A p then costs one gather of its roots and one
     that zeroes the A with a non-split factor.  For
-    sqrt(p) < A <= sqrt(4p/3) the same roots leave few B to test;
+    sqrt(p) < A <= sqrt(4p/3) the same roots leave few B = 2b to test,
+    those with b = +-t modulo A's modulus, and one pass over both
+    classes tests them;
   * class_number_dirichlet evaluates the finite character-sum form of
     the analytic class number formula over half the period,
     h = |sum_{a < 2p} chi(a)| / 2.
@@ -116,6 +120,8 @@ def class_number_enum(p: int) -> ClassData:
         for the root t <= q/2 in the table.  Only the b of these two
         classes are tested, for the largest such q <= _RESIDUE_CUT, and
         every b when A has none, which needs A >= 4099 > _RESIDUE_CUT.
+        Both classes of every such A are laid out as one set of
+        progressions, so the test is one pass whatever the size of p.
     """
     if not is_prime(p) or p % 4 != 1:
         raise Refusal(f"need a prime = 1 mod 4, got {p}")
@@ -124,28 +130,32 @@ def class_number_enum(p: int) -> ClassData:
     root = math.isqrt(p)  # A <= root iff A^2 < p, as p is not a square
     top = math.isqrt(4 * p // 3)
     table = _root_table(1 << top.bit_length())  # one table serves many p
-    split, x = _splits(p, table.q[: np.searchsorted(table.q, top, side="right")], table)
+    split, x = _splits(p, table.q[: table.primes[top]], table)
     # rho: the weights, zeroed at each A with a non-split odd prime factor
-    pairs = np.searchsorted(table.pair_a, top, side="right")
+    pairs = table.pairs[top]
     rho = table.weight[: top + 1].copy()
-    rho[table.pair_a[:pairs][~split[table.pair_i[:pairs]]]] = 0
-    h = int(rho[: root + 1].sum(dtype=np.int64))
-    a = np.flatnonzero(rho[root + 1 :]) + (root + 1)
-    # the modulus m and root t of each A; index -1 of table.factor, "no
-    # factor", reads the appended modulus 1 with t = 0
+    rho[table.pair_a[:pairs].compress(~split[table.pair_i[:pairs]])] = 0
+    h = int(rho[: root + 1].sum())
+    # each A above root with rho(A) > 0 twice: first for the b = t (mod m),
+    # then for the b = -t, with m the modulus of A and t its root; an A with
+    # no factor has m = 1, where any t serves, so it reads x[-1]
+    a = rho[root + 1 :].nonzero()[0]
+    a += root + 1
+    n = a.size
+    a = np.concatenate((a, a))
     k = table.factor[a]
-    m = np.append(table.q[: x.size], 1)[k]
-    t = np.append(x, 0)[k]
+    m = table.modulus[k]
+    t = x[k]
+    t[n:] *= -1
     # ceil(sqrt(A^2 - p)), exact: A^2 - p < 2^52, where the float root of a
     # non-square is never an integer and that of a square is exact
     lo = np.ceil(np.sqrt(a * a - p)).astype(np.int64)
-    hi = a // 2  # >= lo - 1, since 4(A^2 - p) <= A^2
-    # the b = t and b = -t (mod m) in [lo, hi], from first to last; the
-    # second class is the first when m = 1, so it is left empty there
-    first = np.concatenate((lo + (t - lo) % m, lo + (-t - lo) % m))
-    last = np.concatenate((hi, np.where(m > 1, hi, lo - 1)))
-    m, a = np.concatenate((m, m)), np.concatenate((a, a))
-    for i, b in _runs(first, m, (last - first) // m + 1):
+    # each class from its first b >= lo up to A/2 >= lo - 1, as
+    # 4(A^2 - p) <= A^2; mod 1 the second class is the first, so it is empty
+    first = lo + (t - lo) % m
+    count = ((a >> 1) - first) // m + 1
+    count[n:][m[n:] == 1] = 0
+    for i, b in _runs(first, m, count):
         h += 2 * int(np.count_nonzero((p + b * b) % a[i] == 0))
     return ClassData(p=p, h=h, v2=_v2(h))
 
@@ -154,12 +164,16 @@ class _RootTable(NamedTuple):
     """What rho needs below a bound, none of it depending on p."""
 
     q: np.ndarray  # the odd primes <= bound
+    primes: np.ndarray  # primes[A]: how many q are <= A
     # the pairs (A, i) with q[i] | A <= bound, in increasing A
     pair_a: np.ndarray
     pair_i: np.ndarray
+    pairs: np.ndarray  # pairs[A]: how many pairs have pair_a <= A
     weight: np.ndarray  # 2^(number of odd primes dividing A); 0 at A = 0 and 4 | A
-    # factor[A]: the i of the largest q[i] <= _RESIDUE_CUT dividing A, or -1
+    # factor[A]: the i of the largest q[i] <= _RESIDUE_CUT dividing A, or -1;
+    # modulus[i] is q[i] for those q, and modulus[-1], for no factor, is 1
     factor: np.ndarray
+    modulus: np.ndarray
     # for q[i] <= _RESIDUE_CUT, roots[offset[i] + r] is the x <= q[i]/2 with
     # x^2 = r (mod q[i]), or -1 when r is not a square mod q[i]
     roots: np.ndarray
@@ -170,24 +184,39 @@ class _RootTable(NamedTuple):
 # done with once the next one is built
 @lru_cache(maxsize=1)
 def _root_table(bound: int) -> _RootTable:
-    # bound >= 3; the arrays are read-only, as the cache shares them
+    # bound >= 4; the arrays are read-only, as the cache shares them
     q = np.array(primes_up_to(bound)[1:], dtype=np.int64)
+    primes = q.searchsorted(np.arange(bound + 1), side="right").astype(np.int32)
+    small = q[: primes[min(bound, _RESIDUE_CUT)]]
+    # one pass over the x <= q/2 of every small q, in blocks of at most
+    # _BLOCK; each block's x is reduced in place once its roots are kept
+    offset = small.cumsum() - small
+    roots = np.full(int(small.sum()), -1, dtype=np.int16)
+    for i, x in _runs(np.zeros_like(small), np.ones_like(small), (small >> 1) + 1):
+        root = x.astype(np.int16)
+        x *= x
+        x %= small[i]
+        x += offset[i]
+        roots[x] = root
+    # the pairs come in increasing q, so those of the small q lead
     pair_i, pair_a = map(np.concatenate, zip(*_runs(q, q, bound // q)))
-    small = q[q <= _RESIDUE_CUT]
+    lead = pair_i.searchsorted(small.size)
     factor = np.full(bound + 1, -1)
-    keep = pair_i < small.size
-    np.maximum.at(factor, pair_a[keep], pair_i[keep])
-    order = np.argsort(pair_a)
-    pair_a, pair_i = pair_a[order], pair_i[order]
-    weight = 1 << np.bincount(pair_a, minlength=bound + 1)
+    np.maximum.at(factor, pair_a[:lead], pair_i[:lead])
+    modulus = np.append(small, 1)
+    # sorted by A in place, as the keys A 2^16 + i: i < 2^16, since
+    # bound <= 2^16 at _ENUM_LIMIT
+    pair_a <<= 16
+    pair_a |= pair_i
+    pair_a.sort()
+    pair_i = pair_a & 0xFFFF
+    pair_a >>= 16
+    omega = np.bincount(pair_a, minlength=bound + 1)
+    weight = 1 << omega
     weight[0] = 0
     weight[4::4] = 0
-    offset = np.cumsum(small) - small
-    roots = np.full(int(small.sum()), -1, dtype=np.int16)
-    for m, o in zip(small.tolist(), offset.tolist()):
-        x = np.arange(m // 2 + 1)
-        roots[o + x * x % m] = x
-    table = _RootTable(q, pair_a, pair_i, weight, factor, roots, offset)
+    table = _RootTable(q, primes, pair_a, pair_i, omega.cumsum(dtype=np.int32), weight, factor,
+                       modulus, roots, offset)
     for array in table:
         array.flags.writeable = False
     return table

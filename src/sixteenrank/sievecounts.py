@@ -30,9 +30,9 @@ q = x^2 + y^2 with x odd and y even, which a single pass over the x, y up
 to the bound's square root finds for every q, and all the inverses from
 one vectorised modular power.  A row then finds the first index of every
 root, k0 = (+-r_q q1^-1 c^2 - start q1^-1) mod q, with one reduction per
-prime, and tests q | c only for the q = 3 mod 4 up to |c| (all of them
-when c = 0).  A prime q no less than the row's length strikes it at most
-once, at that index; only the smaller primes walk their progressions.
+prime, and tests q | c only for the q = 3 mod 4 up to |c|.  A prime q
+no less than the row's length strikes it at most once, at that index;
+only the smaller primes walk their progressions.
 Up to X = _SIEVE_LIMIT the bound is sqrt(X), so a survivor above it is
 prime, and the values up to sqrt(X), which a prime q = n strikes from its
 own row, are read from the odd-only sieve of arith up to sqrt(X).  Above
@@ -166,7 +166,10 @@ def _strike_table(bound: int, q1: int) -> _Strike:
 
 def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.ndarray:
     # mask of the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no
-    # prime factor q <= strike.bound, or with n <= strike.bound
+    # prime factor q <= strike.bound, or with n <= strike.bound; prime_rows
+    # never walks the row c = 0, whose n are all squares
+    if c == 0:
+        raise Refusal("the row c = 0 holds no prime to strike for")
     keep = np.ones(n.size, dtype=bool)
     # a row lies in one class mod each q | q1: q strikes all of it, when
     # q | start^2 + c^4, or none of it
@@ -174,15 +177,15 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.
         keep[:] = False
     else:
         # the roots of a^2 = -c^4 mod q are +-r c^2; a q = 3 mod 4 has only
-        # the root 0, when q | c: every such q when c = 0, else a q <= |c|.
-        # k0 is a root's first index in the row, start + k0 q1 = root mod q,
-        # so k0 = (+-r q1^-1 c^2 - start q1^-1) mod q.  The bound is at most
+        # the root 0, when q | c, so a q <= |c|.  k0 is a root's first index
+        # in the row, start + k0 q1 = root mod q, so
+        # k0 = (+-r q1^-1 c^2 - start q1^-1) mod q.  The bound is at most
         # sqrt(X) (sqrt(X)/2 = 5*10^4 at 10^10 on the Miller-Rabin branch),
         # so with q <= sqrt(X), c^2 <= sqrt(X) and |start| <= sqrt(X), each
         # product is at most _X_LIMIT = 10^10 in size, and int64 holds them
         # unreduced
         qr = strike.rooted_q
-        head = np.searchsorted(strike.rootless_q, abs(c), side="right") if c else None
+        head = np.searchsorted(strike.rootless_q, abs(c), side="right")
         zero = np.flatnonzero(c % strike.rootless_q[:head] == 0)
         qz = strike.rootless_q[zero]
         k0 = (strike.rooted_rinv * (c * c) - start * strike.rooted_inv) % qr

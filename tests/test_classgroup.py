@@ -165,12 +165,17 @@ def test_fallback_examples_hold_forms(p, forms):
     assert fallback_forms(p) == forms
 
 
-def test_residue_tables_match_euler_criterion():
-    # every odd prime q <= _RESIDUE_CUT and every r mod q: the table holds -1
-    # for the non-residues of Euler's criterion, else a root x <= q/2
-    table = _root_table(2 * _RESIDUE_CUT)
+# 8 and 64 hold few primes, 1024 and 2048 are the last tables of a verify
+# sweep, and past _RESIDUE_CUT the roots stop at it
+@pytest.mark.parametrize("bound", [8, 64, 1024, 2048, 2 * _RESIDUE_CUT])
+def test_residue_tables_match_euler_criterion(bound):
+    # every odd prime q <= min(bound, _RESIDUE_CUT) and every r mod q: the
+    # table holds -1 for the non-residues of Euler's criterion, else a root
+    # x <= q/2
+    table = _root_table(bound)
+    assert table.q.tolist() == list(primes_up_to(bound)[1:])
     q = table.q[: table.offset.size]
-    assert q.tolist() == list(primes_up_to(_RESIDUE_CUT)[1:])
+    assert q.tolist() == list(primes_up_to(min(bound, _RESIDUE_CUT))[1:])
     assert table.roots.size == q.sum()
     mod = np.repeat(q, q)
     r = np.arange(mod.size) - np.repeat(table.offset, q)
@@ -185,6 +190,12 @@ def test_residue_tables_match_euler_criterion():
     for i, m in enumerate(q.tolist()):
         factor[m::m] = i
     assert np.array_equal(table.factor, factor)
+    # modulus[factor[A]] is that q, or 1; primes[A] and pairs[A] count the
+    # q <= A and the pairs (A', i) with A' <= A
+    assert np.array_equal(table.modulus[factor], np.where(factor >= 0, q[factor], 1))
+    a = np.arange(bound + 1)
+    assert np.array_equal(table.primes, [np.count_nonzero(table.q <= v) for v in a.tolist()])
+    assert np.array_equal(table.pairs, [np.count_nonzero(table.pair_a <= v) for v in a.tolist()])
 
 
 @settings(max_examples=50, deadline=None)
@@ -201,6 +212,41 @@ def test_splits_match_euler_criterion(p):
     assert x.size == table.offset.size
     assert np.array_equal(x >= 0, split[: x.size])
     assert np.all(((x * x + p) % small == 0) | (x == -1))
+
+
+def nearest_primes_1_mod_4(n):
+    """The largest prime = 1 mod 4 below n and the smallest at or above it."""
+    below = n - 1 - (n - 2) % 4
+    while not is_prime(below):
+        below -= 4
+    return below, next_prime_1_mod_4(n)
+
+
+# isqrt(4p/3) reaches 2^k, and class_number_enum moves to the table of bound
+# 2^(k+1), at p = 3 * 4^(k-1)
+@pytest.mark.parametrize("k", range(3, 14))
+def test_class_number_at_the_table_seams(k):
+    below, above = nearest_primes_1_mod_4(3 * 4 ** (k - 1))
+    assert math.isqrt(4 * below // 3).bit_length() == k
+    assert math.isqrt(4 * above // 3).bit_length() == k + 1
+    for p in (below, above):
+        assert class_number_enum(p).h == plain_class_number(p), p
+
+
+def test_class_number_does_not_depend_on_call_order():
+    # the 100 primes = 1 mod 4 on each side of the seam between the tables
+    # of bounds 1024 and 2048, each also computed alone after clearing the
+    # table cache
+    seam = 3 * 4**9
+    near = [p for p in range(seam - 3999, seam + 4000, 4) if is_prime(p)]
+    ps = [p for p in near if p < seam][-100:] + [p for p in near if p > seam][:100]
+    assert len(ps) == 200
+    alone = {}
+    for p in ps:
+        _root_table.cache_clear()
+        alone[p] = class_number_enum(p)
+    for order in (ps[::-1], ps):
+        assert [class_number_enum(p) for p in order] == [alone[p] for p in order]
 
 
 def test_class_number_at_the_enumeration_limit():

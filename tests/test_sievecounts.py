@@ -224,7 +224,7 @@ def test_form_witnesses_match_brute_force(monkeypatch, sieve_limit):
 # value at index q has no other prime factor that strikes
 STRIKE_ROWS = [
     pytest.param(c, q1, np.arange(-700, 701, q1, dtype=np.int64), id=f"{c}-{q1}")
-    for q1 in (1, 2, 15, 16) for c in (0, 1, 2, 3, 5, 6, 10, 26, 65, 210, -6, -21)
+    for q1 in (1, 2, 15, 16) for c in (1, 2, 3, 5, 6, 10, 26, 65, 210, -6, -21)
 ] + [
     pytest.param(c, 1, np.arange(start, start + size, dtype=np.int64),
                  id=f"{c}-1-q{q}-len{size}")
@@ -257,6 +257,14 @@ def test_strike_at_full_bound_leaves_exactly_primes(c, q1, a):
     strike = sievecounts._strike_table(bound, q1)
     got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
     assert got.tolist() == want.tolist()
+
+
+def test_strike_refuses_the_row_c_zero():
+    # prime_rows never walks c = 0 (its n = a^2 are squares), so the strike
+    # takes no such row
+    a = np.arange(-700, 701, dtype=np.int64)
+    with pytest.raises(Refusal):
+        sievecounts._strike_survivors(a * a, int(a[0]), 0, sievecounts._strike_table(999, 1))
 
 
 @st.composite
@@ -334,11 +342,11 @@ def miller_rabin_row(x, c, q1, start):
 
 @st.composite
 def miller_rabin_rows(draw):
-    # (x, c, q1, start): x above _SIEVE_LIMIT, a row c of it, and the first
-    # a of a window, a = start mod q1
+    # (x, c, q1, start): x above _SIEVE_LIMIT, a row c != 0 of it (prime_rows
+    # never walks c = 0), and the first a of a window, a = start mod q1
     x = draw(st.integers(min_value=sievecounts._SIEVE_LIMIT + 1, max_value=_X_LIMIT))
     cmax = math.isqrt(math.isqrt(x))
-    c = draw(st.integers(min_value=-cmax, max_value=cmax))
+    c = draw(st.integers(min_value=1, max_value=cmax)) * draw(st.sampled_from((1, -1)))
     amax = math.isqrt(x - c**4)
     return x, c, draw(st.sampled_from((1, 16))), draw(st.integers(-amax, amax))
 
