@@ -33,14 +33,15 @@ root, k0 = (+-r_q q1^-1 c^2 - start q1^-1) mod q, with one reduction per
 prime, and tests q | c only for the q = 3 mod 4 up to |c|.  A prime q
 no less than the row's length strikes it at most once, at that index;
 only the smaller primes walk their progressions.
-Up to X = _SIEVE_LIMIT the bound is sqrt(X), so a survivor above it is
-prime, and the values up to sqrt(X), which a prime q = n strikes from its
-own row, are read from the odd-only sieve of arith up to sqrt(X).  Above
-_SIEVE_LIMIT only the primes up to sqrt(X)/2 strike, so a composite
-survivor is a product of two primes above sqrt(X)/2, and deterministic
-Miller-Rabin decides the survivors.  A row with c^4 above the bound holds
-no value up to it.  The rows c and -c hold the same a, so a class that
-holds both walks c > 0 only and yields each row once, with weight 2.
+The strike is a plain sieve, and its bound is at least 2: a prime q = n
+up to the bound strikes itself, so the odd-only flags of arith up to the
+bound decide every value up to it.  Up to X = _SIEVE_LIMIT the bound is
+sqrt(X), so a survivor above it is prime.  Above _SIEVE_LIMIT it is
+sqrt(X)/2, so a composite survivor is a product of two primes above
+sqrt(X)/2, and deterministic Miller-Rabin decides every survivor.  A row
+with c^4 above the bound holds no value up to it.  The rows c and -c hold
+the same a, so a class that holds both walks c > 0 only and yields each
+row once, with weight 2.
 """
 
 from __future__ import annotations
@@ -132,11 +133,9 @@ class _Strike(NamedTuple):
 
 
 def _strike_table(bound: int, q1: int) -> _Strike:
-    # one lookup of the shared sieve, bound >= 1
+    # one lookup of the shared sieve; prime_rows clamps the bound to at least 2
     flags = odd_prime_flags(bound)
-    q = 2 * np.flatnonzero(flags).astype(np.int64) + 1
-    if bound >= 2:
-        q = np.concatenate(([2], q))
+    q = np.r_[2, 2 * np.flatnonzero(flags).astype(np.int64) + 1]
     # each q = 1 mod 4 is x^2 + y^2 for one odd x > 0 and one even y > 0, so
     # one pass over those x, y up to sqrt(bound) finds every q, and r = x y^-1
     # has r^2 = -1 mod q; 2 = 1^2 + 1^2 with r = 1
@@ -149,7 +148,7 @@ def _strike_table(bound: int, q1: int) -> _Strike:
     rq = q[(q % 4 == 1) & (q1 % q != 0)]
     at = at[rq >> 1]
     rx, ry = x[at // y.size], y[at % y.size]
-    if bound >= 2 and q1 % 2:
+    if q1 % 2:
         rq, rx, ry = np.r_[2, rq], np.r_[1, rx], np.r_[1, ry]
     zq = q[(q % 4 == 3) & (q1 % q != 0)]
     # one modular power gives (y q1)^-1 mod each rooted q and q1^-1 mod each
@@ -166,8 +165,8 @@ def _strike_table(bound: int, q1: int) -> _Strike:
 
 def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.ndarray:
     # mask of the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no
-    # prime factor q <= strike.bound, or with n <= strike.bound; prime_rows
-    # never walks the row c = 0, whose n are all squares
+    # prime factor q <= strike.bound, so a prime n <= strike.bound strikes
+    # itself; prime_rows never walks the row c = 0, whose n are all squares
     if c == 0:
         raise Refusal("the row c = 0 holds no prime to strike for")
     keep = np.ones(n.size, dtype=bool)
@@ -197,7 +196,6 @@ def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.
         k0 = np.concatenate((k0[:few], -start * strike.rootless_inv[zero] % qz))
         for _, struck in _runs(k0, qs, (n.size - 1 - k0) // qs + 1):
             keep[struck] = False
-    keep |= n <= strike.bound
     return keep
 
 
@@ -207,11 +205,10 @@ def prime_rows(x: int, pair: CongruencePair):
     is 2 when the row -c, which holds the same a, is in the class (then
     c > 0), else 1."""
     _check_x(x)
-    if x < 2:
-        return
     sieve = x <= _SIEVE_LIMIT
     root = math.isqrt(x)
-    strike = _strike_table(root if sieve else max(1, root // 2), pair.q1)
+    # the bound is at least 2, so q = 2 always strikes
+    strike = _strike_table(max(2, root if sieve else root // 2), pair.q1)
     cmax = math.isqrt(root)
     # when the class holds both signs of c, walk c > 0: the row c = 0 holds
     # only the squares a^2, none of them prime
@@ -226,10 +223,9 @@ def prime_rows(x: int, pair: CongruencePair):
         prime = _strike_survivors(n, int(a[0]), c, strike)
         if not sieve:
             # a survivor may have a prime factor between the bound and sqrt(x)
-            test = prime & (n > strike.bound)
-            prime[test] = [is_prime(v) for v in n[test].tolist()]
+            prime[prime] = [is_prime(v) for v in n[prime].tolist()]
         if c4 <= strike.bound:
-            # the values up to the bound survive the strike; the sieve decides them
+            # a prime up to the bound strikes itself; the flags decide those values
             small = np.flatnonzero(n <= strike.bound)
             v = n[small]
             prime[small] = v == 2

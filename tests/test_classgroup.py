@@ -23,7 +23,7 @@ from sixteenrank import (
     sqrt_minus_one_mod_p,
     two_torsion_form,
 )
-from sixteenrank import arith
+from sixteenrank import arith, cli, realquad
 from sixteenrank.arith import _powmod
 from sixteenrank.classgroup import _ENUM_LIMIT, _RESIDUE_CUT, _root_table, _splits
 
@@ -254,6 +254,26 @@ def test_class_number_at_the_enumeration_limit():
     # above sqrt(p) runs over many blocks; the value is the divisor
     # enumeration's
     assert class_number_enum(1999999973).h == 47046
+
+
+def test_cli_primes_and_the_enumeration_limit_fit_the_root_table(monkeypatch):
+    # every p the command line hands to class_number_enum has
+    # isqrt(4p/3) <= _RESIDUE_CUT: verify's p up to VERIFY_BUDGET, and unit's
+    # up to _UNIT_LIMIT, as fundamental_unit refuses a larger p first.  So
+    # the command line never takes Euler's criterion, nor the class of every
+    # b, which needs A >= 4099
+    assert math.isqrt(4 * cli.VERIFY_BUDGET // 3) == 1632 <= _RESIDUE_CUT
+    assert math.isqrt(4 * realquad._UNIT_LIMIT // 3) == 3651 <= _RESIDUE_CUT
+    monkeypatch.setattr(cli, "class_number_enum", None)
+    with pytest.raises(Refusal, match="unit budget"):
+        cli.cmd_unit(10000121)  # the least prime = 1 mod 8 above _UNIT_LIMIT
+    # the table at _ENUM_LIMIT has bound 2^16 and 6,541 odd primes, so the
+    # index i of q[i] fits the 16 bits of the key that sorts pair_a
+    bound = 1 << math.isqrt(4 * _ENUM_LIMIT // 3).bit_length()
+    table = _root_table(bound)
+    assert bound == 2**16 and table.q.size == 6541 < 2**16
+    assert (np.diff(table.pair_a) >= 0).all()
+    assert (table.pair_a % table.q[table.pair_i] == 0).all()
 
 
 def test_spot_class_numbers():

@@ -74,9 +74,11 @@ SAMPLE_PAIRS = (
 def assert_counts_match_brute_force():
     # 5 = 2^2 + 1^4 and 17 = 1^2 + 2^4 are primes q that strike their own
     # rows; at 25 = 3^2 + 2^4 and 169 = 13^2 + 0^4, X = q^2 for the largest
-    # prime q = isqrt(X) that strikes
+    # prime q = isqrt(X) that strikes.  Below X = 4 the bound is clamped up
+    # to 2, so 2 = 1^2 + 1^4 strikes itself; X = 3 is the CLI's least limit,
+    # and X = 4 the least X whose own bound is 2
     for pair in SAMPLE_PAIRS:
-        for x in (0, 1, 2, 5, 17, 25, 50, 169, 20000):
+        for x in (0, 1, 2, 3, 4, 5, 17, 25, 50, 169, 20000):
             lattice, primes = brute_counts(x, pair)
             assert count_primes(x, pair, mode="lattice") == lattice, (pair, x)
             assert count_primes(x, pair, mode="distinct") == len(primes), (pair, x)
@@ -234,14 +236,15 @@ STRIKE_ROWS = [
 
 @pytest.mark.parametrize("c, q1, a", STRIKE_ROWS)
 def test_strike_marks_exactly_small_factors(c, q1, a):
-    # a survivor is an n <= bound or an n with no prime factor up to it:
-    # per prime q, exactly the rho(c^2, q) roots of a^2 = -c^4 mod q go.
+    # a survivor is an n with no prime factor up to the bound, so a prime
+    # n <= bound strikes itself: per prime q, exactly the rho(c^2, q) roots
+    # of a^2 = -c^4 mod q go.
     # 8,660 is sqrt(X)/2 at the X = 300,000,001 just above _SIEVE_LIMIT
     n = a * a + c**4
     for bound in (999, 8660):
         small = np.array(primes_up_to(bound))
         small_factor = (n[:, None] % small == 0).any(axis=1)
-        want = (n <= bound) | ~small_factor
+        want = ~small_factor
         strike = sievecounts._strike_table(bound, q1)
         got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
         assert got.tolist() == want.tolist(), bound
@@ -249,11 +252,12 @@ def test_strike_marks_exactly_small_factors(c, q1, a):
 
 @pytest.mark.parametrize("c, q1, a", STRIKE_ROWS)
 def test_strike_at_full_bound_leaves_exactly_primes(c, q1, a):
-    # struck by every prime q <= isqrt(max n), a survivor n is prime or
-    # n <= isqrt(max n), where n == q strikes itself
+    # struck by every prime q <= isqrt(max n), a survivor n is a prime above
+    # isqrt(max n), as n == q strikes itself, or n = 1, which has no prime
+    # factor
     n = a * a + c**4
     bound = math.isqrt(int(n.max()))
-    want = np.array([is_prime(v) for v in n.tolist()]) | (n <= bound)
+    want = (np.array([is_prime(v) for v in n.tolist()]) & (n > bound)) | (n == 1)
     strike = sievecounts._strike_table(bound, q1)
     got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
     assert got.tolist() == want.tolist()
@@ -276,8 +280,9 @@ def table_moduli(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=3000), table_moduli())
+@given(st.integers(min_value=2, max_value=3000), table_moduli())
 def test_strike_table_against_slow_roots(bound, q1):
+    # prime_rows clamps the bound to at least 2
     strike = sievecounts._strike_table(bound, q1)
     primes = set(primes_up_to(bound))
     whole = {q for q in primes if q1 % q == 0}
@@ -299,11 +304,14 @@ def test_strike_table_against_slow_roots(bound, q1):
 
 
 @pytest.mark.parametrize("q1", [1, 15])
-@pytest.mark.parametrize("start, c", [(-10**5, 316), (10**5, -316)])
+@pytest.mark.parametrize("start, c", [
+    (-math.isqrt(_X_LIMIT), math.isqrt(math.isqrt(_X_LIMIT))),
+    (math.isqrt(_X_LIMIT), -math.isqrt(math.isqrt(_X_LIMIT))),
+])
 def test_strike_holds_int64_headroom_at_the_x_limit(start, c, q1):
-    # at X = _X_LIMIT the bound is 10^5, |c| reaches 316 and |start| 10^5,
-    # so the products in k0 reach 10^10; the struck indices must be those
-    # that the same k0 formula gives in Python ints
+    # at X = _X_LIMIT the bound is sqrt(X) (10^5), |c| reaches X^(1/4) (316)
+    # and |start| sqrt(X), so the products in k0 reach X; the struck indices
+    # must be those that the same k0 formula gives in Python ints
     bound = math.isqrt(_X_LIMIT)
     a = np.arange(start, start + 2000 * q1, q1, dtype=np.int64)
     n = a * a + c**4
@@ -324,15 +332,16 @@ def test_strike_holds_int64_headroom_at_the_x_limit(start, c, q1):
 def miller_rabin_row(x, c, q1, start):
     """Up to 2,000 values n = a^2 + c^4 <= x of a row a = start, start + q1,
     ..., decided as prime_rows decides them above _SIEVE_LIMIT: struck by
-    the primes up to sqrt(x)/2, then is_prime above that bound and the
-    odd-only flags up to it.  Returns n, the mask of the n that reached
-    is_prime, and the verdicts."""
+    the primes up to sqrt(x)/2, then is_prime on every survivor, and the
+    odd-only flags on the values up to the bound.  Returns n, the mask of
+    the n that reached is_prime (every survivor of the strike), and the
+    verdicts."""
     amax = math.isqrt(x - c**4)
     a = np.arange(start, min(amax, start + 1999 * q1) + 1, q1, dtype=np.int64)
     n = a * a + c**4
     strike = sievecounts._strike_table(math.isqrt(x) // 2, q1)
     prime = sievecounts._strike_survivors(n, start, c, strike)
-    tested = prime & (n > strike.bound)
+    tested = prime.copy()
     prime[tested] = [is_prime(v) for v in n[tested].tolist()]
     small = np.flatnonzero(n <= strike.bound)
     prime[small] = [v == 2 or (v & 1 and strike.flags[v >> 1] == 1)
