@@ -105,7 +105,7 @@ def predict_unit_congruences(a: int, c: int) -> UnitCongruences:
     case = sixteen_rank_case(a, c)
     if case is RankCase.NOT8:
         raise Refusal(f"no unit prediction: a = {a}, c = {c} has 8 not dividing h")
-    fold = min(a % 16, (-a) % 16)
-    u_set = frozenset({1, 7}) if fold in (1, 7) else frozenset({3, 5})
-    t_res = 0 if fold in (1, 5) else 8
+    four = c % 4 == 0
+    u_set = frozenset({1, 7}) if four else frozenset({3, 5})
+    t_res = 0 if (case is RankCase.DIV16) == four else 8
     return UnitCongruences(t_mod_16=t_res, u_mod_8=u_set)

@@ -71,7 +71,7 @@ SAMPLE_PAIRS = (
 )
 
 
-def assert_counts_match_brute_force():
+def test_counts_match_brute_force():
     # 5 = 2^2 + 1^4 and 17 = 1^2 + 2^4 are primes q that strike their own
     # rows; at 25 = 3^2 + 2^4 and 169 = 13^2 + 0^4, X = q^2 for the largest
     # prime q = isqrt(X) that strikes.  Below X = 4 the bound is clamped up
@@ -88,16 +88,6 @@ def assert_counts_match_brute_force():
             assert np.all(got[1:] > got[:-1]), (pair, x)
 
 
-def test_counts_match_brute_force():
-    assert_counts_match_brute_force()
-
-
-def test_counts_match_brute_force_above_sieve_limit(monkeypatch):
-    # every X lies above a zero limit: each row is struck, then Miller-Rabin
-    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", 0)
-    assert_counts_match_brute_force()
-
-
 @st.composite
 def pairs(draw):
     q1 = draw(st.integers(min_value=1, max_value=60))
@@ -111,14 +101,14 @@ def pairs(draw):
 NEGATIVE_C_PAIR = CongruencePair(0, 1, 1, 3)
 
 
-@pytest.mark.parametrize("sieve_limit", [sievecounts._SIEVE_LIMIT, 0],
-                         ids=["sieve", "miller_rabin"])
-def test_rows_of_negative_c_match_brute_force(monkeypatch, sieve_limit):
-    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", sieve_limit)
-    lattice, primes = brute_counts(50000, NEGATIVE_C_PAIR)
+# the id "sieve" of the tests below names the branch of prime_rows at their
+# X; test_prime_rows_match_is_prime_row_by_row walks the rows above 3*10^8
+@pytest.mark.parametrize("x", [50000], ids=["sieve"])
+def test_rows_of_negative_c_match_brute_force(x):
+    lattice, primes = brute_counts(x, NEGATIVE_C_PAIR)
     assert lattice == 610
-    assert count_primes(50000, NEGATIVE_C_PAIR, "lattice") == lattice
-    assert represented_primes(50000, NEGATIVE_C_PAIR).tolist() == sorted(primes)
+    assert count_primes(x, NEGATIVE_C_PAIR, "lattice") == lattice
+    assert represented_primes(x, NEGATIVE_C_PAIR).tolist() == sorted(primes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,17 +128,15 @@ def test_prime_rows_yield_each_row_once(x, pair):
     assert sum(k * a.size for _, a, k in rows) == brute_counts(x, pair)[0]
 
 
-@pytest.mark.parametrize("sieve_limit", [sievecounts._SIEVE_LIMIT, 0],
-                         ids=["sieve", "miller_rabin"])
+@pytest.mark.parametrize("x", [10**6], ids=["sieve"])
 @pytest.mark.parametrize("pair", [CongruencePair(1, 2, 0, 2), TRIVIAL_PAIR,
                                   CongruencePair(0, 2, 1, 2), CongruencePair(5, 10, 1, 3)],
                          ids=str)
-def test_prime_rows_keep_both_signs_of_a(monkeypatch, sieve_limit, pair):
+def test_prime_rows_keep_both_signs_of_a(x, pair):
     # the a -> -a symmetry is not folded: in a class that holds a and -a,
     # every row holds both, so a check of that symmetry reads the walk
-    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", sieve_limit)
     assert 2 * pair.a0 % pair.q1 == 0
-    rows = list(prime_rows(10**6, pair))
+    rows = list(prime_rows(x, pair))
     assert sum(a.size for _, a, _ in rows) > 0
     for c, a, _ in rows:
         assert a.tolist() == (-a[::-1]).tolist(), c
@@ -188,20 +176,6 @@ def test_represented_primes_peak_memory():
     assert peak < 1.5 * 2**20, peak
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**7), pairs())
-@example(50000, NEGATIVE_C_PAIR)
-def test_sieve_agrees_with_miller_rabin(x, pair):
-    def counts():
-        return (count_primes(x, pair, "lattice"), count_primes(x, pair, "distinct"),
-                represented_primes(x, pair).tolist())
-
-    sieved = counts()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sievecounts, "_SIEVE_LIMIT", 0)
-        assert counts() == sieved
-
-
 def brute_witnesses(limit):
     """(p, a, c) with p = a^2 + c^4 <= limit prime, a odd > 0, c even > 0."""
     out = []
@@ -212,11 +186,10 @@ def brute_witnesses(limit):
     return sorted(out)
 
 
-@pytest.mark.parametrize("sieve_limit", [sievecounts._SIEVE_LIMIT, 0],
-                         ids=["sieve", "miller_rabin"])
-def test_form_witnesses_match_brute_force(monkeypatch, sieve_limit):
-    monkeypatch.setattr(sievecounts, "_SIEVE_LIMIT", sieve_limit)
-    for limit in (3, 16, 17, 41, 200, 10**5):
+# form_witnesses keeps the verify budget, 2*10^6, far below 3*10^8
+@pytest.mark.parametrize("limits", [(3, 16, 17, 41, 200, 10**5)], ids=["sieve"])
+def test_form_witnesses_match_brute_force(limits):
+    for limit in limits:
         assert form_witnesses(limit) == brute_witnesses(limit), limit
 
 
@@ -239,7 +212,8 @@ def test_strike_marks_exactly_small_factors(c, q1, a):
     # a survivor is an n with no prime factor up to the bound, so a prime
     # n <= bound strikes itself: per prime q, exactly the rho(c^2, q) roots
     # of a^2 = -c^4 mod q go.
-    # 8,660 is sqrt(X)/2 at the X = 300,000,001 just above _SIEVE_LIMIT
+    # 8,660 is sqrt(X)/2 at X = 300,000,001, the least X of the Miller-Rabin
+    # branch
     n = a * a + c**4
     for bound in (999, 8660):
         small = np.array(primes_up_to(bound))
@@ -329,55 +303,78 @@ def test_strike_holds_int64_headroom_at_the_x_limit(start, c, q1):
     assert got.tolist() == want.tolist()
 
 
-def miller_rabin_row(x, c, q1, start):
-    """Up to 2,000 values n = a^2 + c^4 <= x of a row a = start, start + q1,
-    ..., decided as prime_rows decides them above _SIEVE_LIMIT: struck by
-    the primes up to sqrt(x)/2, then is_prime on every survivor, and the
-    odd-only flags on the values up to the bound.  Returns n, the mask of
-    the n that reached is_prime (every survivor of the strike), and the
-    verdicts."""
-    amax = math.isqrt(x - c**4)
-    a = np.arange(start, min(amax, start + 1999 * q1) + 1, q1, dtype=np.int64)
-    n = a * a + c**4
-    strike = sievecounts._strike_table(math.isqrt(x) // 2, q1)
-    prime = sievecounts._strike_survivors(n, start, c, strike)
-    tested = prime.copy()
-    prime[tested] = [is_prime(v) for v in n[tested].tolist()]
-    small = np.flatnonzero(n <= strike.bound)
-    prime[small] = [v == 2 or (v & 1 and strike.flags[v >> 1] == 1)
-                    for v in n[small].tolist()]
-    return n, tested, prime
+def class_rows(x, pair):
+    """(c, a, k) for each row of the class with a nonempty progression of a,
+    by plain loops: the c > 0 with k = 2 when the class holds -c, else every
+    c with k = 1, and a the range of every a = a0 mod q1 with
+    a^2 + c^4 <= x."""
+    cmax = math.isqrt(math.isqrt(x))
+    both = 2 * pair.c0 % pair.q2 == 0
+    for c in range(1 if both else -cmax, cmax + 1):
+        if c % pair.q2 == pair.c0:
+            amax = math.isqrt(x - c**4)
+            a = range(-amax + (pair.a0 + amax) % pair.q1, amax + 1, pair.q1)
+            if a:
+                yield c, a, 2 if both else 1
 
 
 @st.composite
-def miller_rabin_rows(draw):
-    # (x, c, q1, start): x above _SIEVE_LIMIT, a row c != 0 of it (prime_rows
-    # never walks c = 0), and the first a of a window, a = start mod q1
-    x = draw(st.integers(min_value=sievecounts._SIEVE_LIMIT + 1, max_value=_X_LIMIT))
-    cmax = math.isqrt(math.isqrt(x))
-    c = draw(st.integers(min_value=1, max_value=cmax)) * draw(st.sampled_from((1, -1)))
-    amax = math.isqrt(x - c**4)
-    return x, c, draw(st.sampled_from((1, 16))), draw(st.integers(-amax, amax))
+def narrow_classes(draw):
+    # (x, pair): X of every size up to _X_LIMIT, as often small as large, and
+    # a class of one or two rows of at most about 2,000 a each, so that
+    # is_prime checks every value; q1 is often a multiple of 2, 5, 13 or
+    # 3*5*7, so that the primes q | q1 strike whole rows
+    k = draw(st.integers(min_value=0, max_value=_X_LIMIT.bit_length()))
+    x = draw(st.integers(min_value=1 << k >> 1, max_value=min((1 << k) - 1, _X_LIMIT)))
+    root = math.isqrt(x)
+    cmax = math.isqrt(root)
+    factor = draw(st.sampled_from((1, 2, 5, 13, 3 * 5 * 7)))
+    least = -(-(2 * root + 1) // (2000 * factor))
+    q1 = factor * draw(st.integers(min_value=least, max_value=2 * least + 10))
+    q2 = draw(st.integers(min_value=max(1, cmax), max_value=2 * cmax + 1))
+    return x, CongruencePair(draw(st.integers(0, q1 - 1)), q1, draw(st.integers(0, q2 - 1)), q2)
 
 
-# 98785^2 + 2^4 = 85453 * 114197 <= 10^10, both primes above the bound
-# sqrt(10^10)/2 = 50000: a composite that only Miller-Rabin rejects
-MR_COMPOSITE_ROW = (_X_LIMIT, 2, 16, 98785 - 16 * 1000)
+@settings(max_examples=50, deadline=None)
+@given(narrow_classes())
+# 2 = 1^2 + 1^4 strikes itself at the least bound, 2
+@example((2, CongruencePair(1, 2, 1, 2)))
+# 98785^2 + 2^4 = 85453 * 114197 <= 10^10: both factors lie above the bound
+# sqrt(X)/2 = 50000, so no prime of the strike removes it, only is_prime
+@example((10**10, CongruencePair(98785 % 105, 105, 2, 400)))
+# a^2 + 1 = 17, 257, 577, 1297, 3137 and 7057 lie below the bound
+# sqrt(X)/2 = 8660 and strike themselves; the flags decide them
+@example((300_000_001, CongruencePair(4, 20, 1, 200)))
+# the one row c = -21: 3 and 7 divide c and strike a = 0 mod 3 and mod 7
+@example((10**9, CongruencePair(0, 32, 179, 200)))
+# a0 = q1/2: the class holds both signs of a
+@example((5 * 10**8, CongruencePair(13, 26, 2, 150)))
+# the largest X of the sieve branch and the least above it; one row, c = 70,
+# of weight 2
+@example((300_000_000, CongruencePair(1, 32, 70, 140)))
+@example((300_000_001, CongruencePair(1, 32, 70, 140)))
+def test_prime_rows_match_is_prime_row_by_row(case):
+    x, pair = case
+    rows = list(prime_rows(x, pair))
+    want = list(class_rows(x, pair))
+    assert [(c, k) for c, _, k in rows] == [(c, k) for c, _, k in want]
+    for (c, a, _), (_, span, _) in zip(rows, want):
+        assert a.dtype == np.int64
+        assert a.tolist() == [v for v in span if is_prime(v * v + c**4)], c
 
 
-@settings(max_examples=40, deadline=None)
-@given(miller_rabin_rows())
-@example(MR_COMPOSITE_ROW)
-@example((sievecounts._SIEVE_LIMIT + 1, 1, 1, -1000))  # a^2 + 1 = 2, 5, 17, ... below the bound
-def test_miller_rabin_rows_match_is_prime_up_to_the_x_limit(row):
-    n, _, prime = miller_rabin_row(*row)
-    assert prime.tolist() == [is_prime(v) for v in n.tolist()]
-
-
-def test_miller_rabin_rejects_a_product_of_primes_above_the_bound():
-    n, tested, prime = miller_rabin_row(*MR_COMPOSITE_ROW)
-    at = np.flatnonzero(n == 85453 * 114197)
-    assert at.size == 1 and tested[at[0]] and not prime[at[0]]
+# 300,000,001 = 7^2 * 6,122,449 is composite, so the counts at 3*10^8, the
+# largest X of the sieve branch, and at 3*10^8 + 1, where Miller-Rabin
+# decides every survivor of the strike, are the same
+@pytest.mark.parametrize("pair, lattice, distinct", [
+    (CongruencePair(1, 16, 0, 4), 17316, 8658),
+    (CongruencePair(3, 16, 2, 4), 17606, 8803),
+])
+def test_counts_agree_across_the_sieve_seam(pair, lattice, distinct):
+    assert 7**2 * 6122449 == 300_000_001
+    for x in (300_000_000, 300_000_001):
+        assert count_primes(x, pair, "lattice") == lattice, x
+        assert count_primes(x, pair, "distinct") == distinct, x
 
 
 def test_lattice_partition_by_parity():
