@@ -19,18 +19,12 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
 
 from .arith import PrimeWitness, decompose_two_squares
-from .classgroup import class_number_enum
 from .errors import Refusal
-from .gauss2adic import RankCase, sixteen_divides, sixteen_rank_case
-from .realquad import fundamental_unit, predict_unit_congruences, williams_check
 from .sievecounts import ClassCount, CongruencePair, CountReport, count_report, prime_rows
 
 VERIFY_BUDGET = 2 * 10**6
@@ -69,20 +63,26 @@ def form_witnesses(limit: int) -> list[tuple[int, int, int]]:
     )
 
 
-def _verify_row(item: tuple[int, int, int]) -> VerifyRow:
-    p, a, c = item
-    case = sixteen_rank_case(a, c)
-    data = class_number_enum(p)
-    agree = RankCase.of_v2(data.v2) is case
-    two_adic = None
-    if case is not RankCase.NOT8:
-        # the walk's (a, c) is p's one sum of two squares; sign a to 1 mod 4
-        w = PrimeWitness(p=p, a=a if a % 4 == 1 else -a, b=c * c, c=c)
-        two_adic = sixteen_divides(w)
-        agree = agree and two_adic == (case is RankCase.DIV16)
-    return VerifyRow(
-        p=p, a=a, c=c, case=case.value, v2=data.v2, two_adic_16=two_adic, agree=agree
-    )
+def _verify_rows(items: list[tuple[int, int, int]]) -> list[VerifyRow]:
+    # the routes are imported once per call, here: density never loads them
+    from .classgroup import class_number_enum
+    from .gauss2adic import RankCase, sixteen_divides, sixteen_rank_case
+
+    rows = []
+    for p, a, c in items:
+        case = sixteen_rank_case(a, c)
+        data = class_number_enum(p)
+        agree = RankCase.of_v2(data.v2) is case
+        two_adic = None
+        if case is not RankCase.NOT8:
+            # the walk's (a, c) is p's one sum of two squares; sign a to 1 mod 4
+            w = PrimeWitness(p=p, a=a if a % 4 == 1 else -a, b=c * c, c=c)
+            two_adic = sixteen_divides(w)
+            agree = agree and two_adic == (case is RankCase.DIV16)
+        rows.append(VerifyRow(
+            p=p, a=a, c=c, case=case.value, v2=data.v2, two_adic_16=two_adic, agree=agree
+        ))
+    return rows
 
 
 def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
@@ -101,16 +101,19 @@ def cmd_verify_sixteen(limit: int, threads: int = 1) -> VerifyReport:
         cores = os.cpu_count() or 1
     if threads > cores:
         raise Refusal(f"--threads is capped at the {cores} CPUs of this machine, got {threads}")
+    from .gauss2adic import RankCase
+
     witnesses = form_witnesses(limit)
     if threads > 1 and len(witnesses) > 1:
         # imported here: it loads multiprocessing, which only a pool needs
         from concurrent.futures import ProcessPoolExecutor
 
         size = max(1, len(witnesses) // (4 * threads))
+        chunks = [witnesses[i : i + size] for i in range(0, len(witnesses), size)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_verify_row, witnesses, chunksize=size))
+            rows = [row for chunk in pool.map(_verify_rows, chunks) for row in chunk]
     else:
-        rows = [_verify_row(item) for item in witnesses]
+        rows = _verify_rows(witnesses)
     tallies = {case.value: 0 for case in RankCase}
     for row in rows:
         tallies[row.case] += 1
@@ -140,6 +143,10 @@ class UnitReport:
 
 def cmd_unit(p: int) -> UnitReport:
     """Fundamental unit plus the congruence checks tied to it."""
+    from .classgroup import class_number_enum
+    from .gauss2adic import RankCase, sixteen_rank_case
+    from .realquad import fundamental_unit, predict_unit_congruences, williams_check
+
     unit = fundamental_unit(p)
     data = class_number_enum(p)
     williams_ok = None
@@ -190,8 +197,13 @@ def _render(fmt: str, doc: dict, header: list[str], records: list[dict],
     """The one writer of every report: doc as JSON, the records as a CSV
     table under header, or the text lines."""
     if fmt == "json":
+        import json
+
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

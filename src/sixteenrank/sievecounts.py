@@ -30,7 +30,8 @@ q = x^2 + y^2 with x odd and y even, which a single pass over the x, y up
 to the bound's square root finds for every q, and all the inverses from
 one vectorised modular power.  A row then finds the first index of every
 root, k0 = (+-r_q q1^-1 c^2 - start q1^-1) mod q, with one reduction per
-prime, and tests q | c only for the q = 3 mod 4 up to |c|.  A prime q
+prime.  A q = 3 mod 4 strikes only when q | c, so the table lists those q
+only up to X^(1/4), the largest |c| of the walk.  A prime q
 no less than the row's length strikes it at most once, at that index;
 only the smaller primes walk their progressions.
 The strike is a plain sieve, and its bound is at least 2: a prime q = n
@@ -115,8 +116,9 @@ def _progression(lo: int, hi: int, r: int, q: int) -> np.ndarray:
 
 
 class _Strike(NamedTuple):
-    """The primes q <= bound that strike a row, and what each needs.  No
-    field depends on c, so one table serves every row of a class."""
+    """The primes q <= bound that strike a row of |c| <= cmax, and what each
+    needs.  No field depends on c, so one table serves every row of a
+    class."""
 
     bound: int
     flags: np.ndarray  # arith.odd_prime_flags(bound)
@@ -127,12 +129,13 @@ class _Strike(NamedTuple):
     rooted_q: np.ndarray
     rooted_rinv: np.ndarray
     rooted_inv: np.ndarray
-    # the q = 3 mod 4 that do not divide q1, increasing, and q1^-1 mod q
+    # the q = 3 mod 4 up to cmax that do not divide q1, increasing, and
+    # q1^-1 mod q
     rootless_q: np.ndarray
     rootless_inv: np.ndarray
 
 
-def _strike_table(bound: int, q1: int) -> _Strike:
+def _strike_table(bound: int, q1: int, cmax: int) -> _Strike:
     # one lookup of the shared sieve; prime_rows clamps the bound to at least 2
     flags = odd_prime_flags(bound)
     q = np.r_[2, 2 * np.flatnonzero(flags).astype(np.int64) + 1]
@@ -150,7 +153,9 @@ def _strike_table(bound: int, q1: int) -> _Strike:
     rx, ry = x[at // y.size], y[at % y.size]
     if q1 % 2:
         rq, rx, ry = np.r_[2, rq], np.r_[1, rx], np.r_[1, ry]
-    zq = q[(q % 4 == 3) & (q1 % q != 0)]
+    # a q = 3 mod 4 strikes a row only when q | c, so only the q <= cmax
+    zq = q[: np.searchsorted(q, cmax, side="right")]
+    zq = zq[(zq % 4 == 3) & (q1 % zq != 0)]
     # one modular power gives (y q1)^-1 mod each rooted q and q1^-1 mod each
     # rootless q; then r q1^-1 = x (y q1)^-1 and q1^-1 = y (y q1)^-1
     mods = np.concatenate((rq, zq))
@@ -163,38 +168,40 @@ def _strike_table(bound: int, q1: int) -> _Strike:
     )
 
 
-def _strike_survivors(n: np.ndarray, start: int, c: int, strike: _Strike) -> np.ndarray:
-    # mask of the n = a^2 + c^4 of a row (a = start, start + q1, ...) with no
-    # prime factor q <= strike.bound, so a prime n <= strike.bound strikes
-    # itself; prime_rows never walks the row c = 0, whose n are all squares
+def _strike_survivors(a: np.ndarray, c: int, strike: _Strike) -> np.ndarray:
+    # mask of the a of a row (a = start, start + q1, ...) whose n = a^2 + c^4
+    # has no prime factor q <= strike.bound, so a prime n <= strike.bound
+    # strikes itself; prime_rows never walks the row c = 0, whose n are all
+    # squares
     if c == 0:
         raise Refusal("the row c = 0 holds no prime to strike for")
-    keep = np.ones(n.size, dtype=bool)
+    size, start = a.size, int(a[0])
+    keep = np.ones(size, dtype=bool)
     # a row lies in one class mod each q | q1: q strikes all of it, when
     # q | start^2 + c^4, or none of it
     if math.gcd(start * start + c**4, strike.whole) > 1:
         keep[:] = False
     else:
         # the roots of a^2 = -c^4 mod q are +-r c^2; a q = 3 mod 4 has only
-        # the root 0, when q | c, so a q <= |c|.  k0 is a root's first index
-        # in the row, start + k0 q1 = root mod q, so
-        # k0 = (+-r q1^-1 c^2 - start q1^-1) mod q.  The bound is at most
-        # sqrt(X) (sqrt(X)/2 = 5*10^4 at 10^10 on the Miller-Rabin branch),
-        # so with q <= sqrt(X), c^2 <= sqrt(X) and |start| <= sqrt(X), each
-        # product is at most _X_LIMIT = 10^10 in size, and int64 holds them
-        # unreduced
+        # the root 0, when q | c.  k0 is a root's first index in the row,
+        # start + k0 q1 = root mod q, so k0 = (+-r q1^-1 c^2 - start q1^-1)
+        # mod q.  The bound is at most sqrt(X) (sqrt(X)/2 = 5*10^4 at 10^10
+        # on the Miller-Rabin branch), so with q <= sqrt(X), c^2 <= sqrt(X)
+        # and |start| <= sqrt(X), each product is at most _X_LIMIT = 10^10 in
+        # size, and int64 holds them unreduced
         qr = strike.rooted_q
-        head = np.searchsorted(strike.rootless_q, abs(c), side="right")
-        zero = np.flatnonzero(c % strike.rootless_q[:head] == 0)
-        qz = strike.rootless_q[zero]
         k0 = (strike.rooted_rinv * (c * c) - start * strike.rooted_inv) % qr
         # a q no less than the row's length strikes it at most once
-        few = np.searchsorted(qr, n.size)
+        few = np.searchsorted(qr, size)
         once = k0[few:]
-        keep[once[once < n.size]] = False
-        qs = np.concatenate((qr[:few], qz))
-        k0 = np.concatenate((k0[:few], -start * strike.rootless_inv[zero] % qz))
-        for _, struck in _runs(k0, qs, (n.size - 1 - k0) // qs + 1):
+        keep[once[once < size]] = False
+        qs, k0 = qr[:few], k0[:few]
+        zero = np.flatnonzero(c % strike.rootless_q == 0)
+        if zero.size:
+            qz = strike.rootless_q[zero]
+            qs = np.concatenate((qs, qz))
+            k0 = np.concatenate((k0, -start * strike.rootless_inv[zero] % qz))
+        for _, struck in _runs(k0, qs, (size - 1 - k0) // qs + 1):
             keep[struck] = False
     return keep
 
@@ -207,9 +214,9 @@ def prime_rows(x: int, pair: CongruencePair):
     _check_x(x)
     sieve = x <= _SIEVE_LIMIT
     root = math.isqrt(x)
-    # the bound is at least 2, so q = 2 always strikes
-    strike = _strike_table(max(2, root if sieve else root // 2), pair.q1)
     cmax = math.isqrt(root)
+    # the bound is at least 2, so q = 2 always strikes
+    strike = _strike_table(max(2, root if sieve else root // 2), pair.q1, cmax)
     # when the class holds both signs of c, walk c > 0: the row c = 0 holds
     # only the squares a^2, none of them prime
     k = 2 if 2 * pair.c0 % pair.q2 == 0 else 1
@@ -219,13 +226,14 @@ def prime_rows(x: int, pair: CongruencePair):
         a = _progression(-amax, amax, pair.a0, pair.q1)
         if a.size == 0:
             continue
-        n = a * a + c4
-        prime = _strike_survivors(n, int(a[0]), c, strike)
+        prime = _strike_survivors(a, c, strike)
         if not sieve:
             # a survivor may have a prime factor between the bound and sqrt(x)
-            prime[prime] = [is_prime(v) for v in n[prime].tolist()]
+            kept = a[prime]
+            prime[prime] = [is_prime(v) for v in (kept * kept + c4).tolist()]
         if c4 <= strike.bound:
             # a prime up to the bound strikes itself; the flags decide those values
+            n = a * a + c4
             small = np.flatnonzero(n <= strike.bound)
             v = n[small]
             prime[small] = v == 2

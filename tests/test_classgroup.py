@@ -23,7 +23,7 @@ from sixteenrank import (
     sqrt_minus_one_mod_p,
     two_torsion_form,
 )
-from sixteenrank import arith, cli, realquad
+from sixteenrank import arith, classgroup, cli, realquad
 from sixteenrank.arith import _powmod
 from sixteenrank.classgroup import _ENUM_LIMIT, _RESIDUE_CUT, _root_table, _splits
 
@@ -264,7 +264,7 @@ def test_cli_primes_and_the_enumeration_limit_fit_the_root_table(monkeypatch):
     # b, which needs A >= 4099
     assert math.isqrt(4 * cli.VERIFY_BUDGET // 3) == 1632 <= _RESIDUE_CUT
     assert math.isqrt(4 * realquad._UNIT_LIMIT // 3) == 3651 <= _RESIDUE_CUT
-    monkeypatch.setattr(cli, "class_number_enum", None)
+    monkeypatch.setattr(classgroup, "class_number_enum", None)
     with pytest.raises(Refusal, match="unit budget"):
         cli.cmd_unit(10000121)  # the least prime = 1 mod 8 above _UNIT_LIMIT
     # the table at _ENUM_LIMIT has bound 2^16 and 6,541 odd primes, so the

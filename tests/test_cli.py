@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sixteenrank
-from sixteenrank import cli, sievecounts
+from sixteenrank import classgroup, cli, gauss2adic, sievecounts
 from sixteenrank.cli import (
     cmd_unit,
     cmd_verify_sixteen,
@@ -381,13 +381,13 @@ def assert_disagreement(capsys, limit, wrong):
 
 
 def test_verify_reports_a_class_number_off_by_one(capsys, monkeypatch):
-    enum = cli.class_number_enum
+    enum = classgroup.class_number_enum
 
     def off(p):
         data = enum(p)
         return dataclasses.replace(data, v2=data.v2 + 1) if p == 41 else data
 
-    monkeypatch.setattr(cli, "class_number_enum", off)
+    monkeypatch.setattr(classgroup, "class_number_enum", off)
     assert_disagreement(capsys, 200, [41])
 
 
@@ -395,8 +395,8 @@ def test_verify_reports_a_negated_two_adic_verdict(capsys, monkeypatch):
     # every DIV16 and EXACTLY8 row runs the 2-adic route, and only those
     rows = cmd_verify_sixteen(3000).rows
     assert {"DIV16", "EXACTLY8"} <= {row.case for row in rows}
-    divides = cli.sixteen_divides
-    monkeypatch.setattr(cli, "sixteen_divides", lambda w: not divides(w))
+    divides = gauss2adic.sixteen_divides
+    monkeypatch.setattr(gauss2adic, "sixteen_divides", lambda w: not divides(w))
     assert_disagreement(capsys, 3000, [row.p for row in rows if row.case != "NOT8"])
 
 
@@ -650,6 +650,26 @@ def test_density_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 False\n"
+
+
+def test_each_command_loads_only_the_routes_it_runs():
+    # density walks the family and nothing else; verify adds the class number
+    # and 2-adic routes but not the unit's; a text report loads no csv or json
+    proc = run_python(
+        "-c",
+        "import io, sys, contextlib, sixteenrank.cli\n"
+        "names = ['sixteenrank.classgroup', 'sixteenrank.gauss2adic',\n"
+        "         'sixteenrank.realquad', 'csv', 'json']\n"
+        "for argv in (['density', '--limit', '1000'], ['verify', '--limit', '1000']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = sixteenrank.cli.main(argv)\n"
+        "    print(code, [m for m in names if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0 []",
+        "0 ['sixteenrank.classgroup', 'sixteenrank.gauss2adic']",
+    ]
 
 
 def test_module_run_writes_no_warning():

@@ -219,8 +219,8 @@ def test_strike_marks_exactly_small_factors(c, q1, a):
         small = np.array(primes_up_to(bound))
         small_factor = (n[:, None] % small == 0).any(axis=1)
         want = ~small_factor
-        strike = sievecounts._strike_table(bound, q1)
-        got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
+        strike = sievecounts._strike_table(bound, q1, abs(c))
+        got = sievecounts._strike_survivors(a, c, strike)
         assert got.tolist() == want.tolist(), bound
 
 
@@ -232,8 +232,8 @@ def test_strike_at_full_bound_leaves_exactly_primes(c, q1, a):
     n = a * a + c**4
     bound = math.isqrt(int(n.max()))
     want = (np.array([is_prime(v) for v in n.tolist()]) & (n > bound)) | (n == 1)
-    strike = sievecounts._strike_table(bound, q1)
-    got = sievecounts._strike_survivors(n, int(a[0]), c, strike)
+    strike = sievecounts._strike_table(bound, q1, abs(c))
+    got = sievecounts._strike_survivors(a, c, strike)
     assert got.tolist() == want.tolist()
 
 
@@ -242,7 +242,7 @@ def test_strike_refuses_the_row_c_zero():
     # takes no such row
     a = np.arange(-700, 701, dtype=np.int64)
     with pytest.raises(Refusal):
-        sievecounts._strike_survivors(a * a, int(a[0]), 0, sievecounts._strike_table(999, 1))
+        sievecounts._strike_survivors(a, 0, sievecounts._strike_table(999, 1, 0))
 
 
 @st.composite
@@ -254,17 +254,19 @@ def table_moduli(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=3000), table_moduli())
-def test_strike_table_against_slow_roots(bound, q1):
-    # prime_rows clamps the bound to at least 2
-    strike = sievecounts._strike_table(bound, q1)
+@given(st.integers(min_value=2, max_value=3000), table_moduli(),
+       st.integers(min_value=0, max_value=3000))
+def test_strike_table_against_slow_roots(bound, q1, cmax):
+    # prime_rows clamps the bound to at least 2; a q = 3 mod 4 strikes a row
+    # only when q | c, so the table lists those q up to cmax, the largest |c|
+    strike = sievecounts._strike_table(bound, q1, cmax)
     primes = set(primes_up_to(bound))
     whole = {q for q in primes if q1 % q == 0}
     assert strike.whole == math.prod(whole)
     rooted = strike.rooted_q.tolist()
     rootless = strike.rootless_q.tolist()
     assert rooted == sorted(q for q in primes - whole if q % 4 != 3 for _ in (1, 2))
-    assert rootless == sorted(q for q in primes - whole if q % 4 == 3)
+    assert rootless == sorted(q for q in primes - whole if q % 4 == 3 and q <= cmax)
     for q, rinv, inv in zip(rooted, strike.rooted_rinv.tolist(),
                             strike.rooted_inv.tolist()):
         assert inv * q1 % q == 1
@@ -288,18 +290,17 @@ def test_strike_holds_int64_headroom_at_the_x_limit(start, c, q1):
     # must be those that the same k0 formula gives in Python ints
     bound = math.isqrt(_X_LIMIT)
     a = np.arange(start, start + 2000 * q1, q1, dtype=np.int64)
-    n = a * a + c**4
-    strike = sievecounts._strike_table(bound, q1)
+    strike = sievecounts._strike_table(bound, q1, abs(c))
     # no q | q1 strikes the whole row, so every struck index comes from a k0
     assert math.gcd(start * start + c**4, strike.whole) == 1
-    want = np.ones(n.size, dtype=bool)
+    want = np.ones(a.size, dtype=bool)
     for q, rinv, inv in zip(strike.rooted_q.tolist(), strike.rooted_rinv.tolist(),
                             strike.rooted_inv.tolist()):
         want[(rinv * c * c - start * inv) % q :: q] = False
     for q, inv in zip(strike.rootless_q.tolist(), strike.rootless_inv.tolist()):
         if c % q == 0:
             want[-start * inv % q :: q] = False
-    got = sievecounts._strike_survivors(n, start, c, strike)
+    got = sievecounts._strike_survivors(a, c, strike)
     assert got.tolist() == want.tolist()
 
 
@@ -353,6 +354,12 @@ def narrow_classes(draw):
 # of weight 2
 @example((300_000_000, CongruencePair(1, 32, 70, 140)))
 @example((300_000_001, CongruencePair(1, 32, 70, 140)))
+# |c| = X^(1/4) rounded down is a prime q = 3 mod 4 that strikes its own
+# row: the rows c = 7 at X in [7^4, 8^4), c = 11 at X in [11^4, 12^4) and
+# c = 131 at 3*10^8 hold a = 0, where n = c^4 has no other prime factor
+@example((4095, CongruencePair(0, 2, 7, 8)))
+@example((20000, CongruencePair(0, 2, 11, 12)))
+@example((300_000_000, CongruencePair(0, 2, 131, 262)))
 def test_prime_rows_match_is_prime_row_by_row(case):
     x, pair = case
     rows = list(prime_rows(x, pair))
