@@ -7,12 +7,12 @@ Two independent routes to h(-4p) for primes p = 1 mod 4:
     For A < sqrt(p) there are rho(A) of them, rho(A) being the number
     of roots of x^2 = -p (mod A): a multiplicative function read off
     the square roots of -p modulo the odd primes q.  What rho needs
-    besides those roots does not depend on p, and is built once per
-    power-of-two bound on A: the odd primes and the pairs (A, q) with
-    q | A, each with its count up to every A, the weights 2^omega(A),
-    each A's modulus (its largest prime factor up to _RESIDUE_CUT, or 1)
-    and a table of square roots mod each q up to _RESIDUE_CUT, built in
-    one blocked pass.  A p then costs one gather of its roots and one
+    besides those roots does not depend on p, and is kept in one table
+    per process that only grows, as far as the calls' A reach: the odd
+    primes and the pairs (A, q) with q | A, each with its count up to
+    every A, the weights 2^omega(A), each A's modulus (its largest prime
+    factor up to _RESIDUE_CUT, or 1) and the square roots mod each q up
+    to _RESIDUE_CUT, each part computed once.  A p then costs one gather of its roots and one
     that zeroes the A with a non-split factor.  For
     sqrt(p) < A <= sqrt(4p/3) the same roots leave few B = 2b to test,
     those with b = +-t modulo A's modulus, and one pass over both
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -129,7 +128,7 @@ def class_number_enum(p: int) -> ClassData:
         raise Refusal(f"enumeration budget is p <= {_ENUM_LIMIT}, got {p}")
     root = math.isqrt(p)  # A <= root iff A^2 < p, as p is not a square
     top = math.isqrt(4 * p // 3)
-    table = _root_table(1 << top.bit_length())  # one table serves many p
+    table = _root_table(top)
     split, x = _splits(p, table.q[: table.primes[top]], table)
     # rho: the weights, zeroed at each A with a non-split odd prime factor
     pairs = table.pairs[top]
@@ -161,7 +160,8 @@ def class_number_enum(p: int) -> ClassData:
 
 
 class _RootTable(NamedTuple):
-    """What rho needs below a bound, none of it depending on p."""
+    """What rho needs for every A <= bound, none of it depending on p; the
+    arrays indexed by A have bound + 1 entries."""
 
     q: np.ndarray  # the odd primes <= bound
     primes: np.ndarray  # primes[A]: how many q are <= A
@@ -180,16 +180,39 @@ class _RootTable(NamedTuple):
     offset: np.ndarray
 
 
-# the verify sweep goes through p in increasing order, so a bound's table is
-# done with once the next one is built
-@lru_cache(maxsize=1)
-def _root_table(bound: int) -> _RootTable:
-    # bound >= 4; the arrays are read-only, as the cache shares them
+# A process holds one table, which starts at bound 0 (A = 0 alone) and only
+# grows: a call whose A pass its bound extends it to the next multiple of
+# _CHUNK, computing only the new A and the roots of the new q.  So no order of
+# calls rebuilds a part, and a sweep in increasing p grows it a few times and
+# holds little that it does not read
+_CHUNK = 256
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY_TABLE = _RootTable(
+    q=_EMPTY, primes=np.zeros(1, np.int32), pair_a=_EMPTY, pair_i=_EMPTY,
+    pairs=np.zeros(1, np.int32), weight=np.zeros(1, np.int64), factor=np.full(1, -1),
+    modulus=np.ones(1, np.int64), roots=np.zeros(0, np.int16), offset=_EMPTY,
+)
+_table = _EMPTY_TABLE
+
+
+def _root_table(top: int) -> _RootTable:
+    """The process's table, grown first if it does not reach A = top."""
+    global _table
+    if _table.weight.size <= top:
+        _table = _grow(_table, -(-top // _CHUNK) * _CHUNK)
+    return _table
+
+
+def _grow(table: _RootTable, bound: int) -> _RootTable:
+    """table extended to every A <= bound: only the A above its bound, and
+    the roots of the q <= _RESIDUE_CUT it does not hold, are computed."""
+    old = table.weight.size - 1
     q = np.array(primes_up_to(bound)[1:], dtype=np.int64)
-    primes = q.searchsorted(np.arange(bound + 1), side="right").astype(np.int32)
-    small = q[: primes[min(bound, _RESIDUE_CUT)]]
-    # one pass over the x <= q/2 of every small q, in blocks of at most
+    a = np.arange(old + 1, bound + 1)
+    cut = int(q.searchsorted(_RESIDUE_CUT, side="right"))
+    # one pass over the x <= q/2 of every new small q, in blocks of at most
     # _BLOCK; each block's x is reduced in place once its roots are kept
+    small = q[table.offset.size : cut]
     offset = small.cumsum() - small
     roots = np.full(int(small.sum()), -1, dtype=np.int16)
     for i, x in _runs(np.zeros_like(small), np.ones_like(small), (small >> 1) + 1):
@@ -198,28 +221,38 @@ def _root_table(bound: int) -> _RootTable:
         x %= small[i]
         x += offset[i]
         roots[x] = root
-    # the pairs come in increasing q, so those of the small q lead
-    pair_i, pair_a = map(np.concatenate, zip(*_runs(q, q, bound // q)))
-    lead = pair_i.searchsorted(small.size)
-    factor = np.full(bound + 1, -1)
-    np.maximum.at(factor, pair_a[:lead], pair_i[:lead])
-    modulus = np.append(small, 1)
+    # the pairs of the new A come in increasing q, so those of the small q lead
+    pair_i, pair_a = map(np.concatenate, zip(*_runs((old // q + 1) * q, q, bound // q - old // q)))
+    lead = pair_i.searchsorted(cut)
+    factor = np.full(a.size, -1)
+    np.maximum.at(factor, pair_a[:lead] - (old + 1), pair_i[:lead])
     # sorted by A in place, as the keys A 2^16 + i: i < 2^16, since
-    # bound <= 2^16 at _ENUM_LIMIT
+    # bound < 2^16 at _ENUM_LIMIT
     pair_a <<= 16
     pair_a |= pair_i
     pair_a.sort()
     pair_i = pair_a & 0xFFFF
     pair_a >>= 16
-    omega = np.bincount(pair_a, minlength=bound + 1)
+    omega = np.bincount(pair_a - (old + 1), minlength=a.size)
     weight = 1 << omega
-    weight[0] = 0
-    weight[4::4] = 0
-    table = _RootTable(q, primes, pair_a, pair_i, omega.cumsum(dtype=np.int32), weight, factor,
-                       modulus, roots, offset)
-    for array in table:
+    weight[a % 4 == 0] = 0
+    pairs = omega.cumsum(dtype=np.int32)
+    pairs += table.pairs[-1]
+    grown = _RootTable(
+        q,
+        np.concatenate((table.primes, q.searchsorted(a, side="right").astype(np.int32))),
+        np.concatenate((table.pair_a, pair_a)),
+        np.concatenate((table.pair_i, pair_i)),
+        np.concatenate((table.pairs, pairs)),
+        np.concatenate((table.weight, weight)),
+        np.concatenate((table.factor, factor)),
+        np.append(q[:cut], 1),
+        np.concatenate((table.roots, roots)),
+        np.concatenate((table.offset, offset + table.roots.size)),
+    )
+    for array in grown:
         array.flags.writeable = False
-    return table
+    return grown
 
 
 def _splits(p: int, q: np.ndarray, table: _RootTable) -> tuple[np.ndarray, np.ndarray]:

@@ -49,13 +49,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .arith import _powmod, _runs, is_prime, odd_prime_flags
 from .errors import Refusal
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _X_LIMIT = 10**10
 # up to this X every row is struck by all primes <= sqrt(X); above it only
@@ -296,6 +298,8 @@ def g_value(p: int) -> Fraction:
     g(2) = 1/2; for odd p, g(p) p = 1 + chi4(p)(1 - 1/p), where chi4 is
     the character mod 4.
     """
+    from fractions import Fraction
+
     if not is_prime(p):
         raise Refusal(f"need a prime, got {p}")
     if p == 2:
@@ -317,6 +321,8 @@ def density_constant(pair: CongruencePair) -> Fraction:
     ell is then the first lift, a1 outer and c1 inner, that the refusal
     names.
     """
+    from fractions import Fraction
+
     q = math.lcm(pair.q1, pair.q2)
     out = Fraction(1, pair.q1 * pair.q2)
     lifts = []

@@ -1,8 +1,12 @@
 """Class numbers and composition, checked against direct enumeration."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from sixteenrank import (
 )
 from sixteenrank import arith, classgroup, cli, realquad
 from sixteenrank.arith import _powmod
-from sixteenrank.classgroup import _ENUM_LIMIT, _RESIDUE_CUT, _root_table, _splits
+from sixteenrank.classgroup import _ENUM_LIMIT, _RESIDUE_CUT, _grow, _root_table, _splits
 
 
 def is_reduced(f):
@@ -165,17 +169,32 @@ def test_fallback_examples_hold_forms(p, forms):
     assert fallback_forms(p) == forms
 
 
-# 8 and 64 hold few primes, 1024 and 2048 are the last tables of a verify
-# sweep, and past _RESIDUE_CUT the roots stop at it
+def grown_table(monkeypatch, *tops):
+    """The table after calls whose A reach each top in turn, from the empty
+    table a process starts with."""
+    monkeypatch.setattr(classgroup, "_table", classgroup._EMPTY_TABLE)
+    for top in tops:
+        _root_table(top)
+    return classgroup._table
+
+
+# 8 and 64 hold few primes, 1024 and 2048 reach as far as a verify sweep, and
+# past _RESIDUE_CUT the roots stop at it
 @pytest.mark.parametrize("bound", [8, 64, 1024, 2048, 2 * _RESIDUE_CUT])
-def test_residue_tables_match_euler_criterion(bound):
-    # every odd prime q <= min(bound, _RESIDUE_CUT) and every r mod q: the
+def test_residue_tables_match_euler_criterion(bound, monkeypatch):
+    # the table grown to the bound at once, and grown to it in steps, are
+    # the same; it reaches the bound and stops short of the next chunk
+    table = grown_table(monkeypatch, bound)
+    steps = grown_table(monkeypatch, *range(2, bound, 700), bound)
+    assert all(np.array_equal(x, y) for x, y in zip(table, steps))
+    top = table.weight.size - 1
+    assert bound <= top < bound + classgroup._CHUNK
+    # every odd prime q <= min(top, _RESIDUE_CUT) and every r mod q: the
     # table holds -1 for the non-residues of Euler's criterion, else a root
     # x <= q/2
-    table = _root_table(bound)
-    assert table.q.tolist() == list(primes_up_to(bound)[1:])
+    assert table.q.tolist() == list(primes_up_to(top)[1:])
     q = table.q[: table.offset.size]
-    assert q.tolist() == list(primes_up_to(min(bound, _RESIDUE_CUT))[1:])
+    assert q.tolist() == list(primes_up_to(min(top, _RESIDUE_CUT))[1:])
     assert table.roots.size == q.sum()
     mod = np.repeat(q, q)
     r = np.arange(mod.size) - np.repeat(table.offset, q)
@@ -193,7 +212,7 @@ def test_residue_tables_match_euler_criterion(bound):
     # modulus[factor[A]] is that q, or 1; primes[A] and pairs[A] count the
     # q <= A and the pairs (A', i) with A' <= A
     assert np.array_equal(table.modulus[factor], np.where(factor >= 0, q[factor], 1))
-    a = np.arange(bound + 1)
+    a = np.arange(top + 1)
     assert np.array_equal(table.primes, [np.count_nonzero(table.q <= v) for v in a.tolist()])
     assert np.array_equal(table.pairs, [np.count_nonzero(table.pair_a <= v) for v in a.tolist()])
 
@@ -201,10 +220,10 @@ def test_residue_tables_match_euler_criterion(bound):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=_RESIDUE_CUT, max_value=_ENUM_LIMIT - 10**4).map(next_prime_1_mod_4))
 def test_splits_match_euler_criterion(p):
-    # p > _RESIDUE_CUT, so no q of the root table divides p; the q past the
-    # table are decided by Euler's criterion in _splits itself
+    # p > _RESIDUE_CUT, so no q of the roots divides p; the q past them, up
+    # to 2 * _RESIDUE_CUT, are decided by Euler's criterion in _splits itself
     table = _root_table(2 * _RESIDUE_CUT)
-    q = table.q
+    q = table.q[: table.primes[2 * _RESIDUE_CUT]]
     split, x = _splits(p, q, table)
     x = x.astype(np.int64)
     assert np.array_equal(split, _powmod(-p % q, q >> 1, q) == 1)
@@ -222,8 +241,8 @@ def nearest_primes_1_mod_4(n):
     return below, next_prime_1_mod_4(n)
 
 
-# isqrt(4p/3) reaches 2^k, and class_number_enum moves to the table of bound
-# 2^(k+1), at p = 3 * 4^(k-1)
+# isqrt(4p/3) reaches 2^k at p = 3 * 4^(k-1); from k = 8 on, 2^k is a seam
+# where the table grows by a chunk
 @pytest.mark.parametrize("k", range(3, 14))
 def test_class_number_at_the_table_seams(k):
     below, above = nearest_primes_1_mod_4(3 * 4 ** (k - 1))
@@ -233,20 +252,77 @@ def test_class_number_at_the_table_seams(k):
         assert class_number_enum(p).h == plain_class_number(p), p
 
 
-def test_class_number_does_not_depend_on_call_order():
-    # the 100 primes = 1 mod 4 on each side of the seam between the tables
-    # of bounds 1024 and 2048, each also computed alone after clearing the
-    # table cache
+def test_class_number_does_not_depend_on_call_order(monkeypatch):
+    # the 100 primes = 1 mod 4 on each side of the seam where isqrt(4p/3)
+    # passes 1024, each also computed alone from an empty table and by the
+    # plain scan
     seam = 3 * 4**9
     near = [p for p in range(seam - 3999, seam + 4000, 4) if is_prime(p)]
     ps = [p for p in near if p < seam][-100:] + [p for p in near if p > seam][:100]
     assert len(ps) == 200
     alone = {}
     for p in ps:
-        _root_table.cache_clear()
+        monkeypatch.setattr(classgroup, "_table", classgroup._EMPTY_TABLE)
         alone[p] = class_number_enum(p)
+        assert alone[p].h == plain_class_number(p), p
     for order in (ps[::-1], ps):
         assert [class_number_enum(p) for p in order] == [alone[p] for p in order]
+
+
+def test_shuffled_calls_build_each_part_of_the_table_once(monkeypatch):
+    # about 300 primes whose isqrt(4p/3) runs from 200 to 9000, across the
+    # seams from 256 to 8192 and past _RESIDUE_CUT, in random order: the
+    # table is built to each bound at most once, always larger, so the roots
+    # of each q are filled once; the class numbers are those of increasing
+    # order
+    rng = random.Random(32)
+    ps = sorted({next_prime_1_mod_4(3 * rng.randrange(200, 9000) ** 2 // 4) for _ in range(300)})
+    grown_table(monkeypatch)
+    expected = {p: class_number_enum(p) for p in ps}
+    for p in ps[::30]:
+        assert expected[p].h == plain_class_number(p), p
+    bounds, grows = [], []
+
+    def counted(limit):
+        bounds.append(limit)
+        return primes_up_to(limit)
+
+    def grow(table, bound):
+        grows.append((table.weight.size - 1, bound))
+        return _grow(table, bound)
+
+    monkeypatch.setattr(classgroup, "primes_up_to", counted)
+    monkeypatch.setattr(classgroup, "_grow", grow)
+    grown_table(monkeypatch)
+    shuffled = rng.sample(ps, len(ps))
+    assert [class_number_enum(p) for p in shuffled] == [expected[p] for p in shuffled]
+    # each growth starts where the one before it stopped
+    assert bounds == sorted(set(bounds))
+    assert grows == list(zip([0, *bounds[:-1]], bounds))
+    table = classgroup._table
+    assert bounds[-1] == table.weight.size - 1 > 8192
+    q = table.q[: table.offset.size]
+    assert q[-1] <= _RESIDUE_CUT < table.q[q.size]
+    assert np.array_equal(table.offset, q.cumsum() - q) and table.roots.size == q.sum()
+
+
+def test_import_builds_no_table():
+    # the tables start empty and grow on the first call, so an import sieves
+    # nothing and leaves the prime caches as they were
+    env = dict(os.environ, PYTHONPATH=str(Path(classgroup.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from sixteenrank.arith import odd_prime_flags, primes_up_to\n"
+         "assert 'sixteenrank.classgroup' not in sys.modules\n"
+         "info = lambda: (odd_prime_flags.cache_info(), primes_up_to.cache_info())\n"
+         "before = info()\n"
+         "import sixteenrank.classgroup\n"
+         "print(before == info(), before)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True "), proc.stdout
 
 
 def test_class_number_at_the_enumeration_limit():
@@ -267,11 +343,10 @@ def test_cli_primes_and_the_enumeration_limit_fit_the_root_table(monkeypatch):
     monkeypatch.setattr(classgroup, "class_number_enum", None)
     with pytest.raises(Refusal, match="unit budget"):
         cli.cmd_unit(10000121)  # the least prime = 1 mod 8 above _UNIT_LIMIT
-    # the table at _ENUM_LIMIT has bound 2^16 and 6,541 odd primes, so the
+    # the table at _ENUM_LIMIT has bound 51,712 and 5,290 odd primes, so the
     # index i of q[i] fits the 16 bits of the key that sorts pair_a
-    bound = 1 << math.isqrt(4 * _ENUM_LIMIT // 3).bit_length()
-    table = _root_table(bound)
-    assert bound == 2**16 and table.q.size == 6541 < 2**16
+    table = grown_table(monkeypatch, math.isqrt(4 * _ENUM_LIMIT // 3))
+    assert table.weight.size - 1 == 51712 and table.q.size == 5290 < 2**16
     assert (np.diff(table.pair_a) >= 0).all()
     assert (table.pair_a % table.q[table.pair_i] == 0).all()
 

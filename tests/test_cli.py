@@ -653,23 +653,27 @@ def test_density_leaves_scipy_unloaded():
 
 
 def test_each_command_loads_only_the_routes_it_runs():
-    # density walks the family and nothing else; verify adds the class number
-    # and 2-adic routes but not the unit's; a text report loads no csv or json
-    proc = run_python(
-        "-c",
+    # each command in a fresh interpreter: density walks the family and
+    # nothing else, with exact fractions for its constants; verify adds the
+    # class number and 2-adic routes, and unit also its own, but neither
+    # loads fractions; a text report loads no csv or json
+    script = (
         "import io, sys, contextlib, sixteenrank.cli\n"
         "names = ['sixteenrank.classgroup', 'sixteenrank.gauss2adic',\n"
-        "         'sixteenrank.realquad', 'csv', 'json']\n"
-        "for argv in (['density', '--limit', '1000'], ['verify', '--limit', '1000']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = sixteenrank.cli.main(argv)\n"
-        "    print(code, [m for m in names if m in sys.modules])",
+        "         'sixteenrank.realquad', 'csv', 'json', 'fractions']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = sixteenrank.cli.main(sys.argv[1:])\n"
+        "print(code, [m for m in names if m in sys.modules])"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "0 []",
-        "0 ['sixteenrank.classgroup', 'sixteenrank.gauss2adic']",
-    ]
+    routes = ["sixteenrank.classgroup", "sixteenrank.gauss2adic"]
+    for argv, loaded in (
+        (["verify", "--limit", "1000"], routes),
+        (["density", "--limit", "1000"], ["fractions"]),
+        (["unit", "--p", "41"], [*routes, "sixteenrank.realquad"]),
+    ):
+        proc = run_python("-c", script, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"0 {loaded}\n", argv
 
 
 def test_module_run_writes_no_warning():
